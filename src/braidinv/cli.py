@@ -51,6 +51,10 @@ __all__ = [
 
 FAMILY_LETTERS = (1, -2)
 
+# `invariants` refuses words longer than this after --power, before building
+# them; family_word(1000) is the longest family power it accepts.
+MAX_INVARIANT_LETTERS = 2000
+
 
 def family_word(n: int) -> BraidWord:
     """n-th power of s1 s2^-1 in the 3-strand braid group."""
@@ -379,7 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariants of one braid closure")
     p.add_argument("--braid", required=True, help="braid word, e.g. '1 -2'")
-    p.add_argument("--power", type=int, default=1, help="repeat the word (default 1)")
+    p.add_argument(
+        "--power",
+        type=int,
+        default=1,
+        help=f"repeat the word (default 1); the result may have at most"
+        f" {MAX_INVARIANT_LETTERS} letters",
+    )
     p.add_argument("--strands", type=int, default=None, help="strand count (inferred if omitted)")
     _add_common(p)
 
@@ -413,9 +423,15 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
     if ns.strands is not None and ns.strands < 1:
         return _usage_error(f"--strands must be positive, got {ns.strands}")
     try:
-        word = power(parse_braid_word(ns.braid, ns.strands), ns.power)
+        word = parse_braid_word(ns.braid, ns.strands)
     except BraidParseError as exc:
         return _usage_error(str(exc))
+    if len(word) * ns.power > MAX_INVARIANT_LETTERS:
+        return _usage_error(
+            f"the word repeated {ns.power} times has {len(word) * ns.power} letters,"
+            f" more than the cap of {MAX_INVARIANT_LETTERS}"
+        )
+    word = power(word, ns.power)
     try:
         record = braid_invariants(word)
     except ValueError as exc:

@@ -1,7 +1,8 @@
 """Alexander and Conway polynomials of braid closures, exactly.
 
-Two independent routes are implemented.  The primary one multiplies reduced
-Burau matrices over Z[t, 1/t], takes det(M - I), strips the exact factor
+Two independent routes are implemented.  The primary one builds the reduced
+Burau matrix of the word over Z[t, 1/t] one column update per letter, takes
+det(M - I) by fraction-free elimination, strips the exact factor
 1 + t + ... + t^(k-1), and normalizes by a unit to the palindromic
 representative with value 1 at t = 1; substituting z^2 = t - 2 + 1/t out of
 that gives the Conway polynomial.  The secondary route resolves crossings
@@ -9,10 +10,9 @@ with the skein relation directly on the Gauss diagram of the closure and
 never sees a matrix.  Both routes use exact integer arithmetic throughout.
 """
 
-import fractions
-
 from .braids import BraidWord, closure_components
 from .gauss import from_braid_closure
+from .sequences import determinant_fraction_free
 
 __all__ = [
     "ConwayPolynomial",
@@ -54,15 +54,14 @@ class LaurentPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        items: dict[int, int] = {}
-        if coeffs:
-            pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for exp, coeff in pairs:
-                total = items.get(exp, 0) + coeff
-                if total:
-                    items[exp] = total
-                elif exp in items:
-                    del items[exp]
+        if hasattr(coeffs, "items"):
+            # A mapping's exponents are distinct: only zero terms are dropped.
+            items = {exp: coeff for exp, coeff in coeffs.items() if coeff}
+        else:
+            merged: dict[int, int] = {}
+            for exp, coeff in coeffs or ():
+                merged[exp] = merged.get(exp, 0) + coeff
+            items = {exp: coeff for exp, coeff in merged.items() if coeff}
         object.__setattr__(self, "_coeffs", items)
 
     @classmethod
@@ -104,11 +103,7 @@ class LaurentPolynomial:
             return NotImplemented
         merged = dict(self._coeffs)
         for exp, coeff in other._coeffs.items():
-            total = merged.get(exp, 0) + coeff
-            if total:
-                merged[exp] = total
-            elif exp in merged:
-                del merged[exp]
+            merged[exp] = merged.get(exp, 0) + coeff
         return LaurentPolynomial(merged)
 
     __radd__ = __add__
@@ -135,12 +130,7 @@ class LaurentPolynomial:
         product: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                exp = e1 + e2
-                total = product.get(exp, 0) + c1 * c2
-                if total:
-                    product[exp] = total
-                elif exp in product:
-                    del product[exp]
+                product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
         return LaurentPolynomial(product)
 
     __rmul__ = __mul__
@@ -178,12 +168,15 @@ class LaurentPolynomial:
 
     def evaluate(self, value: int) -> int:
         """Exact value at an integer t; raises when it is not an integer."""
-        total = fractions.Fraction(0)
-        for exp, coeff in self._coeffs.items():
-            total += coeff * fractions.Fraction(value) ** exp
-        if total.denominator != 1:
+        low = min(min(self._coeffs, default=0), 0)
+        if low and value == 0:
+            raise ZeroDivisionError("negative powers of t have a pole at t=0")
+        # Scale by value^-low so every power is nonnegative, then divide back.
+        scaled = sum(c * value ** (exp - low) for exp, c in self._coeffs.items())
+        total, rest = divmod(scaled, value ** -low)
+        if rest:
             raise ValueError(f"value at t={value} is not an integer")
-        return int(total)
+        return total
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient; raises ValueError when a remainder is left."""
@@ -213,6 +206,12 @@ class LaurentPolynomial:
         return LaurentPolynomial(
             {shift + i: c for i, c in enumerate(quotient) if c}
         )
+
+    def __floordiv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.exact_div(other)
 
     def __str__(self):
         return _format_terms(self._coeffs, "t")
@@ -333,56 +332,34 @@ def burau_generator(index: int, strands: int, inverted: bool = False):
         m[index - 1][index - 1] = LaurentPolynomial({1: -1})
         if index <= size - 1:
             m[index][index - 1] = LaurentPolynomial({0: 1})
-    return [row[:] for row in m]
-
-
-def _mat_mul(a, b):
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            total = LaurentPolynomial()
-            for k in range(size):
-                if a[i][k] and b[k][j]:
-                    total = total + a[i][k] * b[k][j]
-            row.append(total)
-        out.append(row)
-    return out
-
-
-def _mat_det(m) -> LaurentPolynomial:
-    size = len(m)
-    if size == 0:
-        return LaurentPolynomial({0: 1})
-    if size == 1:
-        return m[0][0]
-    total = LaurentPolynomial()
-    for col in range(size):
-        entry = m[0][col]
-        if not entry:
-            continue
-        minor = [
-            [row[c] for c in range(size) if c != col] for row in m[1:]
-        ]
-        term = entry * _mat_det(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return total
+    return m
 
 
 def reduced_burau(w: BraidWord):
     """Product of reduced Burau generator matrices over the word.
 
-    Returns a (k-1) x (k-1) grid of LaurentPolynomial as a tuple of tuples.
+    Right multiplication by the generator of letter +-i changes only column
+    i-1 of the running product, so each letter costs O(k) polynomial
+    operations.  Returns a (k-1) x (k-1) grid of LaurentPolynomial as a tuple
+    of tuples.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
-    result = _identity(w.strands - 1)
+    size = w.strands - 1
+    zero = LaurentPolynomial()
+    m = _identity(size)
     for letter in w.letters:
-        result = _mat_mul(
-            result, burau_generator(abs(letter), w.strands, inverted=letter < 0)
-        )
-    return tuple(tuple(row) for row in result)
+        j = abs(letter) - 1
+        for row in m:
+            left = row[j - 1] if j else zero
+            right = row[j + 1] if j + 1 < size else zero
+            if letter > 0:
+                # s_i:    t col(i-2) - t col(i-1) + col(i)
+                row[j] = (left - row[j]).shifted(1) + right
+            else:
+                # s_i^-1: col(i-2) - t^-1 col(i-1) + t^-1 col(i)
+                row[j] = left + (right - row[j]).shifted(-1)
+    return tuple(tuple(row) for row in m)
 
 
 def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
@@ -409,13 +386,11 @@ def alexander_of_closure(w: BraidWord) -> LaurentPolynomial:
         raise ValueError(f"closure has {components} components, not a knot")
     if w.strands == 1:
         return LaurentPolynomial({0: 1})
-    m = reduced_burau(w)
-    size = len(m)
-    one = LaurentPolynomial({0: 1})
     shifted = [
-        [m[i][j] - one if i == j else m[i][j] for j in range(size)] for i in range(size)
+        [entry - 1 if i == j else entry for j, entry in enumerate(row)]
+        for i, row in enumerate(reduced_burau(w))
     ]
-    det = _mat_det(shifted)
+    det = determinant_fraction_free(shifted)
     ladder = LaurentPolynomial({e: 1 for e in range(w.strands)})
     try:
         quotient = det.exact_div(ladder)

@@ -71,8 +71,14 @@ def laplacian(graph: WheelGraph) -> list[list[int]]:
     return m
 
 
-def determinant_fraction_free(matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+def determinant_fraction_free(matrix):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Works over any integral domain whose `//` is exact division: integers,
+    or Laurent polynomials over Z (Bareiss, Math. Comp. 22, 1968).  A zero
+    pivot is replaced by swapping in a lower row; a matrix with no pivot
+    left is singular and gives that zero entry.  The empty matrix gives 1.
+    """
     m = [list(row) for row in matrix]
     size = len(m)
     if size == 0:
@@ -87,7 +93,7 @@ def determinant_fraction_free(matrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return m[k][k]
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 # Exact by the Bareiss identity: prev divides the cross product.

@@ -9,6 +9,7 @@ import pytest
 
 from braidinv import BraidWord, closure_components
 from braidinv.cli import (
+    MAX_INVARIANT_LETTERS,
     corollary_table,
     family_exponents,
     family_word,
@@ -138,6 +139,28 @@ def test_cli_invariants_rejects_bad_words(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "invariants", "--braid", "1", "--strands", "0")
     assert code == 2
+
+
+def test_cli_invariants_caps_the_powered_word(capsys):
+    # At the cap the word is built and found to close to a link (exit 1).
+    cap = MAX_INVARIANT_LETTERS
+    code, _, err = run_cli(capsys, "invariants", "--braid", "1", "--strands", "3",
+                           "--power", str(cap))
+    assert code == 1 and "components" in err
+    code, _, err = run_cli(capsys, "invariants", "--braid", "1", "--strands", "3",
+                           "--power", str(cap + 1))
+    assert code == 2 and f"cap of {cap}" in err
+    # Rejected before the 2 x 10^9-letter word is built.
+    done = subprocess.run(
+        [sys.executable, "-m", "braidinv", "invariants", "--braid", "1 -2",
+         "--power", "1000000000"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "2000000000 letters" in done.stderr
+    assert f"cap of {cap}" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_theorem_csv_golden(capsys):

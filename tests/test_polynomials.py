@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidinv import (
     BraidWord,
@@ -22,6 +24,7 @@ from braidinv import (
     reduced_burau,
 )
 from braidinv import polynomials
+from braidinv.cli import braid_invariants
 
 FAMILY = BraidWord((1, -2), 3)
 TREFOIL = BraidWord((1, 1, 1), 2)
@@ -75,7 +78,22 @@ def test_laurent_evaluate():
     assert p.evaluate(-1) == -2
     with pytest.raises(ValueError):
         p.evaluate(2)  # 2 + 1/2 is not an integer
+    with pytest.raises(ValueError):
+        (3 * T.mirror() ** 2 + 1).evaluate(-2)  # 3/4 + 1
+    assert (4 * T.mirror() ** 2 - T).evaluate(-2) == 3
     assert (T ** 2 - 1).evaluate(3) == 8
+    with pytest.raises(ZeroDivisionError, match="pole at t=0"):
+        p.evaluate(0)
+    assert (T ** 2 + 5).evaluate(0) == 5
+    assert LaurentPolynomial().evaluate(0) == 0
+    # Golden Alexander polynomials: value 1 at t = 1, +-det at t = -1.
+    golden = {
+        TREFOIL: 3, power(FAMILY, 2): 5, power(FAMILY, 4): 45, power(FAMILY, 5): 121,
+    }
+    for w, det in golden.items():
+        alexander = alexander_of_closure(w)
+        assert alexander.evaluate(1) == 1
+        assert abs(alexander.evaluate(-1)) == det
 
 
 def test_laurent_exact_div():
@@ -128,6 +146,38 @@ def test_burau_generator_inverse_is_inverse():
                     assert entry == (ONE if i == j else LaurentPolynomial())
 
 
+def _mat_mul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), LaurentPolynomial())
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(2, 6))
+    letters = draw(
+        st.lists(
+            st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+            max_size=12,
+        )
+    )
+    return BraidWord(tuple(letters), strands)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(braid_words())
+def test_reduced_burau_is_the_product_of_generators(w):
+    size = w.strands - 1
+    expected = [[ONE if i == j else LaurentPolynomial() for j in range(size)]
+                for i in range(size)]
+    for letter in w.letters:
+        generator = burau_generator(abs(letter), w.strands, inverted=letter < 0)
+        expected = _mat_mul(expected, generator)
+    assert reduced_burau(w) == tuple(tuple(row) for row in expected)
+
+
 def test_reduced_burau_respects_braid_relations():
     # adjacent: sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2
     lhs = reduced_burau(BraidWord((1, 2, 1), 3))
@@ -166,6 +216,25 @@ def test_alexander_is_normalized():
         p = alexander_of_closure(w)
         assert p.is_palindromic()
         assert p.evaluate(1) == 1
+
+
+def _random_knot(rng, strands, length):
+    alphabet = tuple(range(-strands + 1, 0)) + tuple(range(1, strands))
+    while True:
+        w = BraidWord(tuple(rng.choice(alphabet) for _ in range(length)), strands)
+        if closure_components(w) == 1:
+            return w
+
+
+def test_alexander_on_wide_knots():
+    # A determinant of factorial cost in the strand count would hang here.
+    rng = random.Random(41)
+    for strands in (10, 12):
+        w = _random_knot(rng, strands, 201)
+        p = alexander_of_closure(w)
+        assert p.is_palindromic()
+        assert p.evaluate(1) == 1
+        assert braid_invariants(w)["oracle_match"]
 
 
 def test_alexander_rejects_links():

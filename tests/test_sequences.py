@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidinv import (
     EnumerationLimitError,
+    LaurentPolynomial,
     WheelGraph,
     determinant_fraction_free,
     is_perfect_square,
@@ -100,6 +103,49 @@ def test_determinant_matches_cofactor_expansion():
         return total
 
     assert determinant_fraction_free(m) == det(m)
+
+
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = LaurentPolynomial()
+    for j, lead in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1) ** j * lead * _cofactor_det(minor)
+    return total
+
+
+# Sparse entries, so that later pivots vanish too and force row swaps.
+laurent = st.one_of(
+    st.just(LaurentPolynomial()),
+    st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3).map(
+        LaurentPolynomial
+    ),
+)
+
+
+@st.composite
+def laurent_matrices(draw):
+    size = draw(st.integers(1, 5))
+    m = [[draw(laurent) for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        m[0][0] = LaurentPolynomial()
+    if draw(st.booleans()):
+        # Make the last row a combination of the others: singular.
+        factors = [draw(laurent) for _ in range(size - 1)]
+        m[-1] = [
+            sum((f * row[j] for f, row in zip(factors, m)), LaurentPolynomial())
+            for j in range(size)
+        ]
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(laurent_matrices())
+def test_determinant_fraction_free_over_laurent_polynomials(m):
+    det = determinant_fraction_free(m)
+    assert isinstance(det, LaurentPolynomial)
+    assert det == _cofactor_det(m)
 
 
 def test_wheel_spanning_tree_golden_values():
