@@ -54,6 +54,9 @@ FAMILY_LETTERS = (1, -2)
 # `invariants` refuses words longer than this after --power, before building
 # them; family_word(1000) is the longest family power it accepts.
 MAX_INVARIANT_LETTERS = 2000
+# It also refuses more strands than this, given or inferred, before any closure
+# walk: the Burau determinant costs cubic time in the strand count.
+MAX_INVARIANT_STRANDS = 64
 
 
 def family_word(n: int) -> BraidWord:
@@ -390,7 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"repeat the word (default 1); the result may have at most"
         f" {MAX_INVARIANT_LETTERS} letters",
     )
-    p.add_argument("--strands", type=int, default=None, help="strand count (inferred if omitted)")
+    p.add_argument(
+        "--strands",
+        type=int,
+        default=None,
+        help=f"strand count (inferred if omitted); at most {MAX_INVARIANT_STRANDS}",
+    )
     _add_common(p)
 
     p = sub.add_parser("theorem", help="Arf parity and determinant-Lucas table for the family")
@@ -426,6 +434,11 @@ def _cmd_invariants(ns: argparse.Namespace) -> int:
         word = parse_braid_word(ns.braid, ns.strands)
     except BraidParseError as exc:
         return _usage_error(str(exc))
+    if word.strands > MAX_INVARIANT_STRANDS:
+        return _usage_error(
+            f"the word is on {word.strands} strands,"
+            f" more than the cap of {MAX_INVARIANT_STRANDS}"
+        )
     if len(word) * ns.power > MAX_INVARIANT_LETTERS:
         return _usage_error(
             f"the word repeated {ns.power} times has {len(word) * ns.power} letters,"
@@ -463,6 +476,9 @@ def main(argv=None) -> int:
         # happens at interpreter shutdown and bow out quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except RuntimeError as exc:
+        print(f"braidinv: internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:

@@ -3,9 +3,11 @@
 Walking a one-circle diagram from the base point, two arrows interleave when
 their four endpoints alternate.  The pattern of such a pair records, for the
 arrow seen first and the arrow seen second, whether each is met tail first
-or head first; each unordered pair is examined once, with the first-seen
-arrow in the first slot, and a matching pair contributes the product of its
-two signs.
+or head first, and a matching pair contributes the product of its two signs.
+The count is one sweep along the circle in O(n log n) for n arrows: arrows
+are taken in order of their first endpoint, and a Fenwick tree over the
+positions holds the signs of the earlier arrows that may fill the first slot,
+each stored at its second endpoint.
 
 Only a pattern whose signed count is independent of the base point can
 define a knot invariant.  `calibrate_pattern` pins the convention against
@@ -94,7 +96,13 @@ class PatternCount:
 
 
 def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
-    """Signed count of interleaved arrow pairs matching `pattern`, read from the base."""
+    """Signed count of interleaved arrow pairs matching `pattern`, read from the base.
+
+    Arrows are swept in order of their first endpoint a.  An arrow (a, b)
+    met `pattern.second` first adds its sign times the stored signs strictly
+    inside (a, b): those are exactly the earlier arrows that interleave with
+    it.  An arrow met `pattern.first` first then stores its sign at b.
+    """
     if g.circle_count != 1:
         raise ValueError("pattern counting needs a one-circle diagram")
     spans = []
@@ -104,21 +112,27 @@ def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
             spans.append((t, h, TAIL_FIRST, arrow.sign))
         else:
             spans.append((h, t, HEAD_FIRST, arrow.sign))
+    spans.sort()
+    # tree[i] sums the stored signs at positions i - (i & -i) .. i - 1.
+    size = len(g.endpoints[0])
+    tree = [0] * (size + 1)
     signed = 0
-    for i in range(len(spans)):
-        ai, bi, di, si = spans[i]
-        for j in range(i + 1, len(spans)):
-            aj, bj, dj, sj = spans[j]
-            if ai < aj:
-                if not aj < bi < bj:
-                    continue
-                first, second = di, dj
-            else:
-                if not ai < bj < bi:
-                    continue
-                first, second = dj, di
-            if first == pattern.first and second == pattern.second:
-                signed += si * sj
+    for a, b, direction, sign in spans:
+        if direction == pattern.second:
+            inside, i = 0, b
+            while i:
+                inside += tree[i]
+                i &= i - 1
+            i = a + 1
+            while i:
+                inside -= tree[i]
+                i &= i - 1
+            signed += sign * inside
+        if direction == pattern.first:
+            i = b + 1
+            while i <= size:
+                tree[i] += sign
+                i += i & -i
     return PatternCount.from_signed(signed)
 
 

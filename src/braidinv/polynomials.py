@@ -364,18 +364,18 @@ def reduced_burau(w: BraidWord):
 
 def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
     if p.is_zero():
-        raise RuntimeError("internal error: vanishing determinant for a knot closure")
+        raise RuntimeError("vanishing determinant for a knot closure")
     span = p.min_exp + p.max_exp
     if span % 2:
-        raise RuntimeError("internal error: exponent range cannot be centred by a unit")
+        raise RuntimeError("exponent range cannot be centred by a unit")
     p = p.shifted(-span // 2)
     at_one = p.evaluate(1)
     if at_one == -1:
         p = -p
     elif at_one != 1:
-        raise RuntimeError(f"internal error: value at t=1 is {at_one}, expected +1 or -1")
+        raise RuntimeError(f"value at t=1 is {at_one}, expected +1 or -1")
     if not p.is_palindromic():
-        raise RuntimeError("internal error: centred polynomial is not palindromic")
+        raise RuntimeError("centred polynomial is not palindromic")
     return p
 
 
@@ -396,8 +396,7 @@ def alexander_of_closure(w: BraidWord) -> LaurentPolynomial:
         quotient = det.exact_div(ladder)
     except ValueError as exc:
         raise RuntimeError(
-            "internal error: det(burau - identity) is not divisible by"
-            " 1 + t + ... + t^(k-1)"
+            "det(burau - identity) is not divisible by 1 + t + ... + t^(k-1)"
         ) from exc
     return _normalize_alexander(quotient)
 

@@ -10,6 +10,7 @@ import pytest
 from braidinv import BraidWord, closure_components
 from braidinv.cli import (
     MAX_INVARIANT_LETTERS,
+    MAX_INVARIANT_STRANDS,
     corollary_table,
     family_exponents,
     family_word,
@@ -161,6 +162,40 @@ def test_cli_invariants_caps_the_powered_word(capsys):
     assert "2000000000 letters" in done.stderr
     assert f"cap of {cap}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_cli_invariants_caps_the_strand_count(capsys):
+    # At the cap the closure is walked and found to be a link (exit 1).
+    cap = MAX_INVARIANT_STRANDS
+    code, _, err = run_cli(capsys, "invariants", "--braid", "1", "--strands", str(cap))
+    assert code == 1 and "components" in err
+    inferred = " ".join(str(i) for i in range(1, cap + 1))
+    code, _, err = run_cli(capsys, "invariants", "--braid", inferred)
+    assert code == 2 and f"{cap + 1} strands" in err and f"cap of {cap}" in err
+    code, _, err = run_cli(capsys, "invariants", "--braid", "1", "--strands", str(cap + 1))
+    assert code == 2 and f"cap of {cap}" in err
+    # Rejected before the closure walk over 3 x 10^7 strands (seconds of work).
+    done = subprocess.run(
+        [sys.executable, "-m", "braidinv", "invariants", "--braid", "1",
+         "--strands", "30000000"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "30000000 strands" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_reports_internal_errors_without_a_traceback(capsys, monkeypatch):
+    def broken(w):
+        raise RuntimeError("vanishing determinant for a knot closure")
+
+    monkeypatch.setattr("braidinv.cli.alexander_of_closure", broken)
+    code, out, err = run_cli(capsys, "invariants", "--braid", "1 1 1")
+    assert code == 1
+    assert out == ""
+    assert "braidinv: internal error: vanishing determinant" in err
+    assert "Traceback" not in err
 
 
 def test_cli_theorem_csv_golden(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidinv import (
     ALL_PATTERNS,
@@ -23,8 +25,36 @@ from braidinv import (
     power,
     rebase,
 )
+from braidinv.cli import family_exponents, family_word
 
 FAMILY = BraidWord((1, -2), 3)
+
+
+def pair_count(g, pattern):
+    """Test oracle: the signed pattern count by checking every pair of arrows."""
+    spans = []
+    for arrow in g.arrows:
+        t, h = arrow.tail[1], arrow.head[1]
+        if t < h:
+            spans.append((t, h, TAIL_FIRST, arrow.sign))
+        else:
+            spans.append((h, t, HEAD_FIRST, arrow.sign))
+    signed = 0
+    for i in range(len(spans)):
+        ai, bi, di, si = spans[i]
+        for j in range(i + 1, len(spans)):
+            aj, bj, dj, sj = spans[j]
+            if ai < aj:
+                if not aj < bi < bj:
+                    continue
+                first, second = di, dj
+            else:
+                if not ai < bj < bi:
+                    continue
+                first, second = dj, di
+            if first == pattern.first and second == pattern.second:
+                signed += si * sj
+    return signed
 
 
 def test_pattern_validation_and_order():
@@ -120,3 +150,48 @@ def test_uncalibrated_patterns_vary_with_base_point():
             for gap in range(gap_count(g))
         }
         assert len(counts) > 1
+
+
+@st.composite
+def knot_words(draw):
+    """Words of up to 40 letters on 2-6 strands, closed up to a knot.
+
+    Appending a generator at positions in two different circles joins them,
+    so after step i the positions 1..i+1 lie on one circle.
+    """
+    strands = draw(st.integers(2, 6))
+    size = draw(st.integers(0, 40 - (strands - 1)))
+    letters = draw(
+        st.lists(
+            st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    w = BraidWord(tuple(letters), strands)
+    for i in range(1, strands):
+        joined = BraidWord(w.letters + (draw(st.sampled_from((i, -i))),), strands)
+        if closure_components(joined) < closure_components(w):
+            w = joined
+    assert closure_components(w) == 1
+    return w
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(knot_words())
+def test_count_pattern_matches_the_pair_oracle(w):
+    g = from_braid_closure(w)
+    for gap in range(gap_count(g)):
+        based = rebase(g, gap)
+        for pattern in ALL_PATTERNS:
+            assert count_pattern(based, pattern).signed == pair_count(based, pattern)
+
+
+def test_count_pattern_matches_the_pair_oracle_on_the_family():
+    for n in family_exponents(59):
+        g = from_braid_closure(family_word(n))
+        gaps = gap_count(g)
+        for gap in range(0, gaps, gaps // 6 + 1):
+            based = rebase(g, gap)
+            for pattern in ALL_PATTERNS:
+                assert count_pattern(based, pattern).signed == pair_count(based, pattern)
