@@ -13,7 +13,6 @@ __all__ = [
     "BraidWord",
     "Permutation",
     "closure_components",
-    "free_reduce",
     "inverse",
     "mirror",
     "parse_braid_word",
@@ -169,21 +168,6 @@ def inverse(w: BraidWord) -> BraidWord:
 def mirror(w: BraidWord) -> BraidWord:
     """Every letter negated in place; the closure becomes its mirror image."""
     return BraidWord(tuple(-letter for letter in w.letters), w.strands)
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Delete adjacent inverse pairs until none remain.
-
-    The result does not depend on the order of deletions, so a single
-    stack pass suffices.
-    """
-    stack: list[int] = []
-    for letter in w.letters:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(tuple(stack), w.strands)
 
 
 def permutation(w: BraidWord) -> Permutation:

@@ -5,13 +5,14 @@ Burau matrix of the word over Z[t, 1/t] one column update per letter, takes
 det(M - I) by fraction-free elimination, strips the exact factor
 1 + t + ... + t^(k-1), and normalizes by a unit to the palindromic
 representative with value 1 at t = 1; substituting z^2 = t - 2 + 1/t out of
-that gives the Conway polynomial.  The secondary route resolves crossings
-with the skein relation directly on the Gauss diagram of the closure and
-never sees a matrix.  Both routes use exact integer arithmetic throughout.
+that gives the Conway polynomial.  The secondary route multiplies the word
+out in the Hecke algebra over Z[z], where the Conway skein relation reads
+g - 1/g = z, and takes the Conway trace of the product; it never sees a
+matrix or a Gauss diagram.  Both routes use exact integer arithmetic
+throughout.
 """
 
 from .braids import BraidWord, closure_components
-from .gauss import from_braid_closure
 from .sequences import determinant_fraction_free
 
 __all__ = [
@@ -255,21 +256,30 @@ class ConwayPolynomial:
     def __add__(self, other):
         if not isinstance(other, ConwayPolynomial):
             return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return ConwayPolynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(size))
-        )
+        longer, shorter = self._coeffs, other._coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        total = list(longer)
+        for i, c in enumerate(shorter):
+            total[i] += c
+        return ConwayPolynomial(total)
 
     def __sub__(self, other):
         if not isinstance(other, ConwayPolynomial):
             return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return ConwayPolynomial(
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(size))
-        )
+        return self + -other
 
     def __neg__(self):
         return ConwayPolynomial(tuple(-c for c in self._coeffs))
+
+    def __mul__(self, other):
+        if not isinstance(other, ConwayPolynomial):
+            return NotImplemented
+        product = [0] * max(len(self._coeffs) + len(other._coeffs) - 1, 0)
+        for i, a in enumerate(self._coeffs):
+            for j, b in enumerate(other._coeffs):
+                product[i + j] += a * b
+        return ConwayPolynomial(product)
 
     def __eq__(self, other):
         if not isinstance(other, ConwayPolynomial):
@@ -438,202 +448,97 @@ def conway_of_closure(w: BraidWord) -> ConwayPolynomial:
 
 
 class SkeinLimitError(RuntimeError):
-    """Word too long for the skein recursion's configured bound."""
+    """Word too long, or on too many strands, for the skein route's bounds."""
 
 
-def _poly_add(a, b):
-    # Coefficient tuples in ascending powers of z, trailing zeros stripped.
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, value in enumerate(b):
-        out[i] += value
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# The skein route keeps one coefficient per permutation, up to k! of them.
+MAX_SKEIN_STRANDS = 8
+
+_ONE = ConwayPolynomial((1,))
 
 
-def _poly_sub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, value in enumerate(b):
-        out[i] -= value
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-# The skein recursion packs each endpoint into a small integer so that
-# states are tuples of int tuples: aid << 2 | (2 if head else 0) | (1 if
-# the crossing sign is positive else 0).  Both endpoints of an arrow carry
-# the same aid and sign bit and differ exactly in the head bit, so every
-# packed value is unique within a state, the partner of endpoint e is the
-# value e ^ 2, and switching a crossing is e ^ 3 at both ends.
-
-
-def _flip_entry(circle, position):
-    return circle[:position] + (circle[position] ^ 3,) + circle[position + 1 :]
-
-
-def _trim_circle(circle):
-    # An arrow whose two endpoints sit next to each other on a circle bounds
-    # a simple loop; untwisting it leaves the polynomial unchanged, so such
-    # arrows are deleted, cascading until the circle is kink free.
-    changed = True
-    while changed and len(circle) > 1:
-        changed = False
-        previous = circle[-1]
-        for entry in circle:
-            if previous >> 2 == entry >> 2:
-                kink = entry >> 2
-                circle = tuple(e for e in circle if e >> 2 != kink)
-                changed = True
-                break
-            previous = entry
-    return circle
-
-
-def _other_end(circles, ci, pi, partner):
-    # The partner endpoint always lies strictly later in the walk.
-    try:
-        return ci, circles[ci].index(partner, pi + 1)
-    except ValueError:
-        pass
-    for cj in range(ci + 1, len(circles)):
-        try:
-            return cj, circles[cj].index(partner)
-        except ValueError:
-            continue
-    raise AssertionError(f"endpoint {partner} not found")
-
-
-def _smooth(circles, ci, pi, cj, pj):
-    # New circles are trimmed on the spot; untouched circles stay kink free.
-    if ci == cj:
-        circle = circles[ci]
-        inner = _trim_circle(circle[pi + 1 : pj])
-        outer = _trim_circle(circle[pj + 1 :] + circle[:pi])
-        return circles[:ci] + (inner, outer) + circles[ci + 1 :]
-    merged = _trim_circle(
-        circles[ci][pi + 1 :]
-        + circles[ci][:pi]
-        + circles[cj][pj + 1 :]
-        + circles[cj][:pj]
-    )
-    return circles[:ci] + (merged,) + circles[ci + 1 : cj] + circles[cj + 1 :]
-
-
-# Skein results are shared across calls.  The recursion tests arrow ids only
-# for equality, and a resumed scan visits a state exactly as a fresh scan
-# would, so a state's polynomial depends only on its structure: the key
-# relabels arrow ids in order of first appearance and records each circle's
-# length.  Up to 64 arrows every packed value fits one byte and the key is
-# bytes; beyond that it is a tuple, which never equals a bytes key.  The
-# memo lives as long as the process and is emptied whenever it holds
-# _SKEIN_MEMO_LIMIT entries, so its size stays bounded.
-_SKEIN_MEMO_LIMIT = 16384
-_skein_memo: dict = {}
-
-
-def _memo_key(circles):
-    labels: dict[int, int] = {}
-    out = []
-    for circle in circles:
-        out.append(len(circle))
-        for entry in circle:
-            out.append(labels.setdefault(entry >> 2, len(labels)) << 2 | entry & 3)
-    return bytes(out) if len(labels) <= 64 else tuple(out)
-
-
-def _skein(circles, start_circle, start_pos, seen):
-    # Circles are kink free; the walk up to (start_circle, start_pos) is
-    # known to meet every arrow tail first, with those arrows in `seen`.
-    key = _memo_key(circles)
-    cached = _skein_memo.get(key)
-    if cached is not None:
-        return cached
-    branch = None
-    for ci in range(start_circle, len(circles)):
-        circle = circles[ci]
-        for pi in range(start_pos if ci == start_circle else 0, len(circle)):
-            entry = circle[pi]
-            aid = entry >> 2
-            if aid in seen:
-                continue
-            seen.add(aid)
-            if entry & 2:
-                branch = (ci, pi, entry)
-                break
-        if branch:
-            break
-    if branch is None:
-        result = (1,) if len(circles) == 1 else ()
+def _accumulate(element, perm, coeff):
+    total = element.get(perm)
+    if total is not None:
+        coeff = total + coeff
+    if coeff:
+        element[perm] = coeff
     else:
-        ci, pi, entry = branch
-        cj, pj = _other_end(circles, ci, pi, entry ^ 2)
-        if ci == cj:
-            flipped = _flip_entry(_flip_entry(circles[ci], pi), pj)
-            switched = circles[:ci] + (flipped,) + circles[ci + 1 :]
-        else:
-            switched = (
-                circles[:ci]
-                + (_flip_entry(circles[ci], pi),)
-                + circles[ci + 1 : cj]
-                + (_flip_entry(circles[cj], pj),)
-                + circles[cj + 1 :]
-            )
-        smoothed = _smooth(circles, ci, pi, cj, pj)
-        # Switching cannot create a kink or disturb the scanned prefix, so
-        # that branch resumes the scan in place; smoothing rebuilds circles
-        # and starts over.
-        with_switch = _skein(switched, ci, pi + 1, seen)
-        with_smooth = (0,) + _skein(smoothed, 0, 0, set())
-        result = (
-            _poly_add(with_switch, with_smooth)
-            if entry & 1
-            else _poly_sub(with_switch, with_smooth)
-        )
-    if len(_skein_memo) >= _SKEIN_MEMO_LIMIT:
-        _skein_memo.clear()
-    _skein_memo[key] = result
-    return result
+        element.pop(perm, None)
+
+
+def _times_generator(element, i, positive):
+    # Right multiplication by g_(i+1), or by its inverse, swaps positions i
+    # and i+1 (0-based) of each permutation.  By g - 1/g = z, T_w g gains
+    # z T_w when that swap puts the smaller value first, and T_w / g gains
+    # -z T_w when it puts the larger value first.
+    out: dict = {}
+    for perm, coeff in element.items():
+        _accumulate(out, perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :], coeff)
+        if (perm[i] > perm[i + 1]) == positive:
+            extra = coeff.times_z()
+            _accumulate(out, perm, extra if positive else -extra)
+    return out
+
+
+def _trace(element, memo):
+    # Conway trace, memoized per permutation.  With the largest value k-1 at
+    # position p (0-based), T_w = T_u g_(k-1) g_(k-2) ... g_(p+1), where u is
+    # w without that value; moving g_(k-2) ... g_(p+1) to the front and
+    # removing g_(k-1) by a Markov move leaves T_u g_(k-2) ... g_(p+1) on
+    # k-1 strands.  With the largest value last, the last strand closes to
+    # an unknot split from the rest.
+    total = ConwayPolynomial()
+    for perm, coeff in element.items():
+        value = memo.get(perm)
+        if value is None:
+            k = len(perm)
+            p = perm.index(k - 1)
+            if k == 1:
+                value = _ONE
+            elif p == k - 1:
+                value = ConwayPolynomial()
+            else:
+                reduced = {perm[:p] + perm[p + 1 :]: _ONE}
+                for i in range(k - 3, p - 1, -1):
+                    reduced = _times_generator(reduced, i, True)
+                value = _trace(reduced, memo)
+            memo[perm] = value
+        if value:
+            total = total + coeff * value
+    return total
 
 
 def conway_skein(w: BraidWord, max_letters: int = 12) -> ConwayPolynomial:
-    """Conway polynomial of the closure by skein resolution on its Gauss diagram.
+    """Conway polynomial of the closure by the skein relation in the Hecke algebra.
 
-    Walking all circles from the base point, the first arrow met at its head
-    is either switched (which extends the walk's descending prefix) or
-    smoothed (which drops one arrow), so the recursion terminates.  A diagram
-    met tail first everywhere is a descending diagram of an unlink: its
-    polynomial is 1 for one circle and 0 otherwise.  Works for links as well
-    as knots.
-
-    States are memoized in one table shared by every call in the process,
-    keyed on the state with its arrows relabelled in order of first
-    appearance.  The table holds at most 16384 states and is emptied when
-    it is full.  A state's polynomial depends only on that key, so results
-    do not depend on what is already cached.
+    Letter +-i maps to g_i or 1/g_i in the Hecke algebra over Z[z] with the
+    Conway skein relation g_i - 1/g_i = z, whose basis elements T_w are
+    indexed by permutations w of the strands in one-line notation.  The
+    word is multiplied out letter by letter, and the Conway trace of the
+    product is the polynomial of the closure: 1 on T_id of one strand, 0
+    when a strand closes to a split unknot, and otherwise reduced to one
+    strand fewer by a Markov move.  The trace is memoized per permutation
+    for the duration of the call.  Works for links as well as knots, and
+    reads neither the Gauss diagram nor the Burau matrix.
 
     Raises:
-        SkeinLimitError: when the word has more than `max_letters` letters.
+        SkeinLimitError: when the word has more than `max_letters` letters or
+            more than MAX_SKEIN_STRANDS strands, before any work is done.
     """
     if len(w.letters) > max_letters:
         raise SkeinLimitError(
             f"word has {len(w.letters)} letters, the configured bound is {max_letters}"
         )
-    diagram = from_braid_closure(w)
-    state = tuple(
-        _trim_circle(
-            tuple(
-                idx << 2
-                | (2 if is_head else 0)
-                | (1 if diagram.arrows[idx].sign > 0 else 0)
-                for idx, is_head in circle
-            )
+    if w.strands > MAX_SKEIN_STRANDS:
+        raise SkeinLimitError(
+            f"word has {w.strands} strands, the skein route allows at most"
+            f" {MAX_SKEIN_STRANDS}"
         )
-        for circle in diagram.endpoints
-    )
-    return ConwayPolynomial(_skein(state, 0, 0, set()))
+    element = {tuple(range(w.strands)): _ONE}
+    for letter in w.letters:
+        element = _times_generator(element, abs(letter) - 1, letter > 0)
+    return _trace(element, {})
 
 
 def c2_oracle(w: BraidWord) -> int:

@@ -6,14 +6,15 @@ import pytest
 from braidinv import (
     BraidParseError,
     BraidWord,
+    LaurentPolynomial,
     Permutation,
     closure_components,
-    free_reduce,
     inverse,
     mirror,
     parse_braid_word,
     permutation,
     power,
+    reduced_burau,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -160,31 +161,15 @@ def test_power():
 def test_inverse_cancels():
     w = BraidWord((1, -2, 2, 1), 3)
     assert inverse(w).letters == (-1, -2, 2, -1)
-    assert free_reduce(BraidWord(w.letters + inverse(w).letters, 3)).letters == ()
+    product = BraidWord(w.letters + inverse(w).letters, 3)
+    assert permutation(product).is_identity()
+    one, zero = LaurentPolynomial({0: 1}), LaurentPolynomial()
+    assert reduced_burau(product) == ((one, zero), (zero, one))
 
 
 def test_mirror_negates_letters():
     w = BraidWord((1, -2, 1), 3)
     assert mirror(w).letters == (-1, 2, -1)
-
-
-def test_free_reduce_cascades():
-    w = BraidWord((1, 2, -2, -1, 1), 3)
-    assert free_reduce(w).letters == (1,)
-    assert free_reduce(BraidWord((), 3)).letters == ()
-
-
-def test_free_reduce_preserves_permutation():
-    w = BraidWord((2, -2, 1, -1, 2, 1), 3)
-    assert permutation(free_reduce(w)) == permutation(w)
-
-
-def test_free_reduce_is_idempotent():
-    for w in random_words(11, 60):
-        once = free_reduce(w)
-        assert free_reduce(once) == once
-        assert permutation(once) == permutation(w)
-        assert closure_components(once) == closure_components(w)
 
 
 def test_permutation_of_power_is_power_of_permutation():

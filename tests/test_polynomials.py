@@ -1,5 +1,5 @@
-import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,8 @@ from braidinv import (
     power,
     reduced_burau,
 )
-from braidinv import polynomials
+import braidinv
+from braidinv import gauss, polynomials
 from braidinv.cli import braid_invariants
 
 FAMILY = BraidWord((1, -2), 3)
@@ -124,6 +125,8 @@ def test_conway_polynomial_arithmetic():
     assert p + q == ConwayPolynomial((1, 2))
     assert p - p == ConwayPolynomial()
     assert -q == ConwayPolynomial((0, -1))
+    assert p * q == ConwayPolynomial((0, 1, 1))
+    assert p * ConwayPolynomial() == ConwayPolynomial()
 
 
 def test_burau_generator_matrices():
@@ -219,6 +222,9 @@ def test_alexander_is_normalized():
 
 
 def _random_knot(rng, strands, length):
+    # A k-cycle is a product of k - 1 transpositions, so no other parity works.
+    if (length - strands + 1) % 2:
+        raise ValueError(f"no knot on {strands} strands has {length} letters")
     alphabet = tuple(range(-strands + 1, 0)) + tuple(range(1, strands))
     while True:
         w = BraidWord(tuple(rng.choice(alphabet) for _ in range(length)), strands)
@@ -313,57 +319,73 @@ def test_skein_on_random_words():
         assert conway_skein(w) == conway_of_closure(w)
 
 
-def _knot_words(strands, length):
-    alphabet = tuple(range(-strands + 1, 0)) + tuple(range(1, strands))
-    words = (
-        BraidWord(letters, strands)
-        for letters in itertools.product(alphabet, repeat=length)
+@st.composite
+def skein_triples(draw):
+    strands = draw(st.integers(2, 4))
+    letters = st.lists(
+        st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        max_size=5,
     )
-    return [w for w in words if closure_components(w) == 1]
+    return strands, tuple(draw(letters)), draw(st.integers(1, strands - 1)), tuple(draw(letters))
 
 
-def test_skein_memo_results_do_not_depend_on_its_contents():
-    words = random.Random(11).sample(_knot_words(3, 8), 40)
-    cold = []
-    cold_states = 0
-    for w in words:
-        polynomials._skein_memo.clear()
-        cold.append(conway_skein(w))
-        cold_states += len(polynomials._skein_memo)
-    polynomials._skein_memo.clear()
-    for w in _knot_words(3, 6):
-        conway_skein(w)
-    filled = len(polynomials._skein_memo)
-    assert filled
-    warm = [conway_skein(w) for w in words]
-    # The warm pass reuses states solved for other words.
-    assert len(polynomials._skein_memo) - filled < cold_states
-    assert warm == cold == [conway_of_closure(w) for w in words]
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(skein_triples())
+def test_skein_relation(triple):
+    # The three closures may be knots or links, each independently.
+    strands, before, i, after = triple
+
+    def nabla(letters):
+        return conway_skein(BraidWord(letters, strands))
+
+    switched = nabla(before + (i,) + after) - nabla(before + (-i,) + after)
+    assert switched == nabla(before + after).times_z()
 
 
-def test_skein_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(polynomials, "_SKEIN_MEMO_LIMIT", 25)
-    polynomials._skein_memo.clear()
-    sizes = []
-    for w in _knot_words(3, 4):
-        assert conway_skein(w) == conway_of_closure(w)
-        sizes.append(len(polynomials._skein_memo))
-    assert max(sizes) <= 25
-    # The sweep met more states than the bound, so the memo was emptied.
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+def test_skein_on_permutation_braids():
+    assert conway_skein(BraidWord((), 1)) == ConwayPolynomial((1,))
+    for strands in range(2, polynomials.MAX_SKEIN_STRANDS + 1):
+        # An unlink of `strands` circles, then a single unknot.
+        assert conway_skein(BraidWord((), strands)).is_zero()
+        cycle = BraidWord(tuple(range(1, strands)), strands)
+        assert conway_skein(cycle) == ConwayPolynomial((1,))
+    # The positive half twist on 3 strands closes to the positive Hopf link.
+    assert str(conway_skein(BraidWord((1, 2, 1), 3))) == "z"
 
 
-def test_skein_memo_key_past_64_arrows():
-    # A descending 65-crossing diagram of the unknot with two crossings
-    # switched: a trefoil whose recursion stays small.
-    letters = [(-1) ** (i + 1) for i in range(65)]
-    letters[0] = letters[2] = 1
-    w = BraidWord(tuple(letters), 2)
-    polynomials._skein_memo.clear()
-    assert conway_skein(w, max_letters=65) == conway_of_closure(w)
-    assert str(conway_of_closure(w)) == "1 + z^2"
-    kinds = {type(key) for key in polynomials._skein_memo}
-    assert kinds == {bytes, tuple}
+def test_skein_matches_burau_route_on_wide_knots():
+    rng = random.Random(43)
+    cases = [(strands, strands + extra) for strands in (4, 5, 6, 7) for extra in (5, 11)]
+    for strands, length in cases + [(7, 66)]:
+        w = _random_knot(rng, strands, length)
+        assert conway_skein(w, max_letters=length) == conway_of_closure(w)
+
+
+def test_skein_is_fast_on_long_two_strand_knots():
+    for letters in ((-1, 1) * 8 + (-1, -1, -1), (1,) * 21):
+        w = BraidWord(letters, 2)
+        start = time.process_time()
+        nabla = conway_skein(w, max_letters=len(letters))
+        elapsed = time.process_time() - start
+        assert nabla == conway_of_closure(w)
+        assert elapsed < 0.01, f"{len(letters)} letters took {elapsed:.4f} s"
+
+
+def test_skein_strand_cap():
+    assert polynomials.MAX_SKEIN_STRANDS == 8
+    assert conway_skein(BraidWord((1, 2, 3, 4, 5, 6, 7, 1), 8)) == ConwayPolynomial((0, 1))
+    with pytest.raises(SkeinLimitError, match="9 strands"):
+        conway_skein(BraidWord((1, 2, 3, 4, 5, 6, 7, 8), 9))
+
+
+def test_skein_does_not_read_the_gauss_diagram(monkeypatch):
+    def refuse(w):
+        raise AssertionError("the skein route built a Gauss diagram")
+
+    for namespace in (braidinv, gauss, polynomials):
+        monkeypatch.setattr(namespace, "from_braid_closure", refuse, raising=False)
+    assert str(conway_skein(TREFOIL)) == "1 + z^2"
+    assert str(conway_skein(power(FAMILY, 5))) == "1 - 2*z^2 - z^4 + 2*z^6 + z^8"
 
 
 def test_conway_shape_and_determinant_parity_on_knots():
