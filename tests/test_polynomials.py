@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -105,6 +107,50 @@ def test_laurent_exact_div():
         (T + 1).exact_div(ladder)
     with pytest.raises(ZeroDivisionError):
         T.exact_div(LaurentPolynomial())
+
+
+def dict_product(p, q):
+    # The double loop over nonzero terms, summed in a dict.
+    product = {}
+    for e1, c1 in p.terms():
+        for e2, c2 in q.terms():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    return tuple(sorted((e, c) for e, c in product.items() if c))
+
+
+@st.composite
+def laurent_operands(draw):
+    # Up to three times the Kronecker threshold, so both products occur;
+    # length 0 is the zero polynomial.
+    bits = draw(st.sampled_from((1, 12, 64, 200, 1400, 2000)))
+    coeffs = draw(
+        st.lists(st.integers(-(2**bits), 2**bits),
+                 max_size=3 * polynomials.KRONECKER_MIN_TERMS)
+    )
+    low = draw(st.integers(-50, 50))
+    return LaurentPolynomial({low + i: c for i, c in enumerate(coeffs)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(laurent_operands(), laurent_operands())
+def test_product_matches_the_double_loop(p, q):
+    assert (p * q).terms() == dict_product(p, q)
+
+
+def test_product_at_the_slot_bound():
+    # Every coefficient -2^b: the middle product coefficient is exactly
+    # min(len) * 4^b, the bound the slot width is computed from.  With a
+    # power-of-two min(len), some b puts the bound's top bit on a byte
+    # boundary, where a slot one bit narrower overflows.
+    threshold = polynomials.KRONECKER_MIN_TERMS
+    shapes = [(5, 7), (32, 45), (128, 128), (threshold, 3 * threshold)]
+    for b in list(range(0, 9)) + [61, 62, 63, 64, 1997, 1998, 1999, 2000]:
+        for n, m in shapes:
+            p = LaurentPolynomial({i - n: -(2**b) for i in range(n)})
+            q = LaurentPolynomial({i: -(2**b) for i in range(m)})
+            product = p * q
+            assert product.terms() == dict_product(p, q)
+            assert max(c for _, c in product.terms()) == min(n, m) * 4**b
 
 
 def test_conway_polynomial_basics():
@@ -272,6 +318,50 @@ def test_conway_from_alexander_validates_input():
         conway_from_alexander(T + T.mirror())
 
 
+def conway_by_peeling(alexander):
+    # Peel the top term a_d t^d off with a_d (t - 2 + 1/t)^d, one degree at a time.
+    base = LaurentPolynomial({1: 1, 0: -2, -1: 1})
+    coeffs = []
+    residue = alexander
+    while not residue.is_zero() and residue.max_exp > 0:
+        d = residue.max_exp
+        c = residue.coefficient(d)
+        coeffs += [0] * (2 * d + 1 - len(coeffs))
+        coeffs[2 * d] = c
+        residue = residue - base**d * c
+    if not coeffs:
+        coeffs = [0]
+    coeffs[0] = residue.coefficient(0)
+    return ConwayPolynomial(coeffs)
+
+
+@st.composite
+def normalized_alexander(draw):
+    # a_0 + sum_j a_j (t^j + t^-j) with a_0 = 1 - 2 sum_j a_j, so value 1 at t=1.
+    bits = draw(st.sampled_from((2, 30, 300)))
+    a = draw(st.lists(st.integers(-(2**bits), 2**bits), max_size=40))
+    terms = {0: 1 - 2 * sum(a)}
+    for j, c in enumerate(a, 1):
+        terms[j] = terms[-j] = c
+    return LaurentPolynomial(terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(normalized_alexander())
+def test_conway_from_alexander_matches_peeling(alexander):
+    nabla = conway_from_alexander(alexander)
+    assert nabla == conway_by_peeling(alexander)
+    assert nabla.to_alexander() == alexander
+
+
+def test_conway_from_alexander_matches_peeling_on_the_family():
+    for n in range(1, 60):
+        w = power(FAMILY, n)
+        if closure_components(w) == 1:
+            alexander = alexander_of_closure(w)
+            assert conway_from_alexander(alexander) == conway_by_peeling(alexander)
+
+
 def test_conway_substitution_round_trip():
     # z^2 = t - 2 + 1/t turns the Conway coefficients back into alexander.
     for w in (TREFOIL, power(FAMILY, 2), power(FAMILY, 5)):
@@ -437,3 +527,34 @@ def test_determinant_golden_values():
     assert determinant(TREFOIL) == 3
     assert determinant(power(FAMILY, 2)) == 5
     assert determinant(power(FAMILY, 5)) == 121
+
+
+MEMORY_SCRIPT = """
+import random, tracemalloc
+from braidinv import BraidWord, closure_components
+from braidinv.cli import braid_invariants
+
+rng = random.Random(47)
+alphabet = tuple(range(-6, 0)) + tuple(range(1, 7))
+words = []
+while len(words) < 40:
+    w = BraidWord(tuple(rng.choice(alphabet) for _ in range(80)), 7)
+    if closure_components(w) == 1:
+        words.append(w)
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+for w in words:
+    braid_invariants(w)
+print(tracemalloc.get_traced_memory()[0] - before)
+"""
+
+
+def test_polynomial_work_retains_no_memory():
+    # A fresh process: freed tuples that earlier tests left on the
+    # interpreter's free lists would hide what this loop keeps.
+    done = subprocess.run(
+        [sys.executable, "-c", MEMORY_SCRIPT],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    retained = int(done.stdout)
+    assert retained < 512 * 1024, f"{retained} bytes still traced after the loop"
