@@ -22,7 +22,7 @@ from .braids import (
     parse_braid_word,
     power,
 )
-from .counting import C2_PATTERN, arf_of_braid_closure, c2_of_braid_closure
+from .counting import C2_PATTERN, arf_of_braid_closure, c2_of_braid_closure, count_pattern
 from .gauss import delete_arrows, from_braid_closure, isomorphic_unbased, writhe
 from .polynomials import (
     alexander_of_closure,
@@ -81,7 +81,18 @@ def last_block_arrows(n: int) -> range:
 def random_knot_words(
     rng: random.Random, count: int, max_len: int = 10, strands: int = 3
 ) -> list[BraidWord]:
-    """Seeded random braid words whose closures are knots."""
+    """Seeded random braid words whose closures are knots.
+
+    A knot closure on k strands needs at least k - 1 letters, so `max_len`
+    below that, or fewer than 2 strands, is refused before any sampling.
+    """
+    if strands < 2:
+        raise ValueError(f"random knot words need at least 2 strands, got {strands}")
+    if max_len < strands - 1:
+        raise ValueError(
+            f"no knot on {strands} strands has at most {max_len} letters;"
+            f" it needs at least {strands - 1}"
+        )
     alphabet = [g for i in range(1, strands) for g in (i, -i)]
     words = []
     while len(words) < count:
@@ -290,7 +301,8 @@ def braid_invariants(w: BraidWord) -> dict:
     components = closure_components(w)
     if components != 1:
         raise ValueError(f"closure has {components} components; invariants need a knot")
-    c2 = c2_of_braid_closure(w)
+    diagram = from_braid_closure(w)
+    c2 = count_pattern(diagram, C2_PATTERN).signed
     alexander = alexander_of_closure(w)
     conway = conway_from_alexander(alexander)
     return {
@@ -298,7 +310,7 @@ def braid_invariants(w: BraidWord) -> dict:
         "strands": w.strands,
         "word_length": len(w),
         "components": components,
-        "writhe": writhe(from_braid_closure(w)),
+        "writhe": writhe(diagram),
         "c2": c2,
         "arf": c2 % 2,
         "det": abs(alexander.evaluate(-1)),

@@ -4,10 +4,11 @@ Walking a one-circle diagram from the base point, two arrows interleave when
 their four endpoints alternate.  The pattern of such a pair records, for the
 arrow seen first and the arrow seen second, whether each is met tail first
 or head first, and a matching pair contributes the product of its two signs.
-The count is one sweep along the circle in O(n log n) for n arrows: arrows
-are taken in order of their first endpoint, and a Fenwick tree over the
-positions holds the signs of the earlier arrows that may fill the first slot,
-each stored at its second endpoint.
+The count is one walk along the circle in O(n log n) for n arrows, reading
+the endpoints and signs of the diagram and no Arrow objects: when an arrow's
+second endpoint is reached, a Fenwick tree over the positions holds the
+signs of the arrows already closed that may fill the first slot, each stored
+at its first endpoint.
 
 Only a pattern whose signed count is independent of the base point can
 define a knot invariant.  `calibrate_pattern` pins the convention against
@@ -98,38 +99,43 @@ class PatternCount:
 def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
     """Signed count of interleaved arrow pairs matching `pattern`, read from the base.
 
-    Arrows are swept in order of their first endpoint a.  An arrow (a, b)
-    met `pattern.second` first adds its sign times the stored signs strictly
-    inside (a, b): those are exactly the earlier arrows that interleave with
-    it.  An arrow met `pattern.first` first then stores its sign at b.
+    One walk along the circle opens each arrow's span at its first endpoint
+    a and closes it at its second b.  An arrow met `pattern.first` first
+    stores its sign at a when it closes.  An arrow met `pattern.second`
+    first notes at a the sum of the signs stored so far, all of them before
+    a; at b it adds its sign times the stored signs before a less that note.
+    Those are exactly the earlier-opened arrows that closed inside (a, b).
     """
     if g.circle_count != 1:
         raise ValueError("pattern counting needs a one-circle diagram")
-    spans = []
-    for arrow in g.arrows:
-        t, h = arrow.tail[1], arrow.head[1]
-        if t < h:
-            spans.append((t, h, TAIL_FIRST, arrow.sign))
-        else:
-            spans.append((h, t, HEAD_FIRST, arrow.sign))
-    spans.sort()
+    # An arrow met tail first closes at its head, and one met head first at
+    # its tail, so the closing endpoint tells the direction.
+    first_tail = pattern.first == TAIL_FIRST
+    second_tail = pattern.second == TAIL_FIRST
+    signs = g.signs
+    circle = g.endpoints[0]
+    size = len(circle)
+    start = [-1] * len(signs)
+    before = [0] * len(signs)
     # tree[i] sums the stored signs at positions i - (i & -i) .. i - 1.
-    size = len(g.endpoints[0])
     tree = [0] * (size + 1)
-    signed = 0
-    for a, b, direction, sign in spans:
-        if direction == pattern.second:
-            inside, i = 0, b
+    stored = signed = 0
+    for b, (idx, is_head) in enumerate(circle):
+        a = start[idx]
+        if a < 0:
+            start[idx] = b
+            before[idx] = stored
+            continue
+        sign = signs[idx]
+        if is_head == second_tail:
+            inside, i = -before[idx], a
             while i:
                 inside += tree[i]
                 i &= i - 1
-            i = a + 1
-            while i:
-                inside -= tree[i]
-                i &= i - 1
             signed += sign * inside
-        if direction == pattern.first:
-            i = b + 1
+        if is_head == first_tail:
+            stored += sign
+            i = a + 1
             while i <= size:
                 tree[i] += sign
                 i += i & -i

@@ -9,12 +9,20 @@ arrow pointing from its over-passage to its under-passage and carrying the
 crossing sign.  The base point sits in the gap just before the first
 endpoint met on circle 0, so position 0 is immediately after it.
 
+A diagram is stored as its endpoints, circle by circle, plus one sign per
+arrow; where each arrow's tail and head sit is derived from the endpoints
+only when asked for.  Rebasing rotates circle 0 and shares the signs, and
+the pattern count, canonical codes, writhe and arrow deletion read the
+endpoints and signs directly.  Every diagram is still checked when it is
+built, by one set comparison over its endpoints and signs.
+
 Canonical codes label arrows in order of first visit from the base point and
 list one label/sign/T-or-H triple per endpoint.  The strings are stable
 across releases and appear as golden values in the test suite.
 """
 
 import dataclasses
+import itertools
 from collections.abc import Iterable
 
 from .braids import BraidWord
@@ -33,6 +41,7 @@ __all__ = [
 ]
 
 EMPTY_CODE = ""
+_SIGNS = frozenset((-1, 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,45 +56,45 @@ class Arrow:
     sign: int
 
 
-@dataclasses.dataclass(frozen=True)
 class GaussDiagram:
     """Signed directed chords on one or more based oriented circles.
 
-    `endpoints[c][p]` is the endpoint at position p of circle c, stored as an
-    (arrow index, is_head) pair; `arrows[i]` records where the two endpoints
-    of arrow i sit.  Circle 0 carries the base point in the gap before
-    position 0.  Both views must agree; the constructor checks.
+    A diagram is its circles plus its signs.  `endpoints[c][p]` is the
+    endpoint at position p of circle c, stored as an (arrow index, is_head)
+    pair, and `signs[i]` is the sign of arrow i.  Circle 0 carries the base
+    point in the gap before position 0.  `arrows[i]` records where the two
+    endpoints of arrow i sit; it is derived from the circles on first access
+    and then kept.
+
+    Every diagram is checked when it is built: each arrow index is in range,
+    each arrow has exactly one tail and one head endpoint, and each sign is
+    +1 or -1.  The public constructor takes the arrows too and also checks
+    that they agree with the circles.  Diagrams are immutable, and equal when
+    their circles and signs are equal.
     """
 
-    endpoints: tuple[tuple[tuple[int, bool], ...], ...]
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("endpoints", "signs", "_arrows")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "endpoints", tuple(tuple(circle) for circle in self.endpoints)
-        )
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        located: dict[tuple[int, bool], tuple[int, int]] = {}
-        total = 0
-        for c, circle in enumerate(self.endpoints):
-            for p, (idx, is_head) in enumerate(circle):
-                total += 1
-                if not 0 <= idx < len(self.arrows):
-                    raise ValueError(f"endpoint references arrow {idx}, out of range")
-                key = (idx, is_head)
-                if key in located:
-                    kind = "head" if is_head else "tail"
-                    raise ValueError(f"arrow {idx} has two {kind} endpoints")
-                located[key] = (c, p)
-        if total != 2 * len(self.arrows):
-            raise ValueError(
-                f"{total} endpoints for {len(self.arrows)} arrows; need exactly two each"
-            )
-        for i, arrow in enumerate(self.arrows):
-            if arrow.sign not in (-1, 1):
-                raise ValueError(f"arrow {i} has sign {arrow.sign}, expected +1 or -1")
-            if located.get((i, False)) != arrow.tail or located.get((i, True)) != arrow.head:
-                raise ValueError(f"arrow {i} endpoints disagree with the circle data")
+    def __init__(self, endpoints, arrows):
+        endpoints = tuple(tuple(circle) for circle in endpoints)
+        arrows = tuple(arrows)
+        signs = tuple(arrow.sign for arrow in arrows)
+        _locate(endpoints, signs, arrows)
+        _init(self, endpoints, signs, arrows)
+
+    @classmethod
+    def _from_parts(cls, endpoints, signs) -> "GaussDiagram":
+        """A checked diagram from tuples of endpoint tuples and signs; arrows come later."""
+        _check(endpoints, signs)
+        g = object.__new__(cls)
+        _init(g, endpoints, signs, None)
+        return g
+
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        if self._arrows is None:
+            object.__setattr__(self, "_arrows", _derive_arrows(self.endpoints, self.signs))
+        return self._arrows
 
     @property
     def circle_count(self) -> int:
@@ -93,21 +102,89 @@ class GaussDiagram:
 
     @property
     def arrow_count(self) -> int:
-        return len(self.arrows)
+        return len(self.signs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.endpoints == other.endpoints and self.signs == other.signs
+
+    def __hash__(self):
+        return hash((self.endpoints, self.signs))
+
+    def __repr__(self):
+        return f"GaussDiagram(endpoints={self.endpoints!r}, arrows={self.arrows!r})"
+
+    def __reduce__(self):
+        return GaussDiagram, (self.endpoints, self.arrows)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _assemble(
-    endpoint_lists: Iterable[Iterable[tuple[int, bool]]], signs: tuple[int, ...]
-) -> GaussDiagram:
-    """Build a diagram from endpoint sequences; arrow ids must be 0..len(signs)-1."""
-    lists = tuple(tuple(circle) for circle in endpoint_lists)
-    tails: dict[int, tuple[int, int]] = {}
-    heads: dict[int, tuple[int, int]] = {}
-    for c, circle in enumerate(lists):
+def _init(g: GaussDiagram, endpoints, signs, arrows) -> None:
+    object.__setattr__(g, "endpoints", endpoints)
+    object.__setattr__(g, "signs", signs)
+    object.__setattr__(g, "_arrows", arrows)
+
+
+def _check(endpoints, signs) -> None:
+    """Raise ValueError unless every arrow has one tail, one head and a sign of +-1.
+
+    One pass builds the set of endpoints: it must be every (index, tail or
+    head) pair for the arrow count, with no endpoint left over.  Only a
+    failing diagram is walked endpoint by endpoint, to name its first fault.
+    """
+    n = len(signs)
+    if (
+        set(itertools.chain.from_iterable(endpoints))
+        != set(itertools.product(range(n), (False, True)))
+        or sum(map(len, endpoints)) != 2 * n
+        or not _SIGNS.issuperset(signs)
+    ):
+        _locate(endpoints, signs)
+        raise AssertionError("the endpoint walk passed a diagram the set check refused")
+
+
+def _locate(endpoints, signs, arrows=None) -> None:
+    """Walk the endpoints one by one and raise ValueError at the first fault.
+
+    With `arrows`, also check that each arrow sits where the circles put it.
+    """
+    located: dict[tuple[int, bool], tuple[int, int]] = {}
+    total = 0
+    for c, circle in enumerate(endpoints):
+        for p, (idx, is_head) in enumerate(circle):
+            total += 1
+            if not 0 <= idx < len(signs):
+                raise ValueError(f"endpoint references arrow {idx}, out of range")
+            key = (idx, is_head)
+            if key in located:
+                kind = "head" if is_head else "tail"
+                raise ValueError(f"arrow {idx} has two {kind} endpoints")
+            located[key] = (c, p)
+    if total != 2 * len(signs):
+        raise ValueError(
+            f"{total} endpoints for {len(signs)} arrows; need exactly two each"
+        )
+    for i, sign in enumerate(signs):
+        if sign not in (-1, 1):
+            raise ValueError(f"arrow {i} has sign {sign}, expected +1 or -1")
+        where = (located.get((i, False)), located.get((i, True)))
+        if None in where or arrows is not None and where != (arrows[i].tail, arrows[i].head):
+            raise ValueError(f"arrow {i} endpoints disagree with the circle data")
+
+
+def _derive_arrows(endpoints, signs) -> tuple[Arrow, ...]:
+    tails: list = [None] * len(signs)
+    heads: list = [None] * len(signs)
+    for c, circle in enumerate(endpoints):
         for p, (idx, is_head) in enumerate(circle):
             (heads if is_head else tails)[idx] = (c, p)
-    arrows = tuple(Arrow(tails[i], heads[i], signs[i]) for i in range(len(signs)))
-    return GaussDiagram(lists, arrows)
+    return tuple(map(Arrow, tails, heads, signs))
 
 
 def from_braid_closure(w: BraidWord) -> GaussDiagram:
@@ -134,14 +211,14 @@ def from_braid_closure(w: BraidWord) -> GaussDiagram:
                     col = 2 * i + 1 - col
             if col == start:
                 break
-        circles.append(seq)
+        circles.append(tuple(seq))
     signs = tuple(1 if letter > 0 else -1 for letter in w.letters)
-    return _assemble(circles, signs)
+    return GaussDiagram._from_parts(tuple(circles), signs)
 
 
 def writhe(g: GaussDiagram) -> int:
     """Sum of the arrow signs."""
-    return sum(arrow.sign for arrow in g.arrows)
+    return sum(g.signs)
 
 
 def delete_arrows(g: GaussDiagram, which: Iterable[int]) -> GaussDiagram:
@@ -152,12 +229,12 @@ def delete_arrows(g: GaussDiagram, which: Iterable[int]) -> GaussDiagram:
             raise ValueError(f"arrow index {idx} out of range 0..{g.arrow_count - 1}")
     kept = [i for i in range(g.arrow_count) if i not in doomed]
     relabel = {old: new for new, old in enumerate(kept)}
-    lists = [
-        [(relabel[idx], is_head) for idx, is_head in circle if idx not in doomed]
+    circles = tuple(
+        tuple((relabel[idx], is_head) for idx, is_head in circle if idx not in doomed)
         for circle in g.endpoints
-    ]
-    signs = tuple(g.arrows[old].sign for old in kept)
-    return _assemble(lists, signs)
+    )
+    signs = tuple(g.signs[old] for old in kept)
+    return GaussDiagram._from_parts(circles, signs)
 
 
 def gap_count(g: GaussDiagram) -> int:
@@ -171,6 +248,7 @@ def rebase(g: GaussDiagram, gap: int) -> GaussDiagram:
     """Move the base to the gap before current position `gap` on circle 0.
 
     Gap 0 is today's base, so rebase(g, 0) returns an identical diagram.
+    Any other gap rotates circle 0 and shares the signs of `g`.
     """
     gaps = gap_count(g)
     if not 0 <= gap < gaps:
@@ -178,11 +256,9 @@ def rebase(g: GaussDiagram, gap: int) -> GaussDiagram:
     if gap == 0:
         return g
     circle = g.endpoints[0]
-    lists = [tuple(circle[gap:]) + tuple(circle[:gap])] + [
-        tuple(c) for c in g.endpoints[1:]
-    ]
-    signs = tuple(arrow.sign for arrow in g.arrows)
-    return _assemble(lists, signs)
+    return GaussDiagram._from_parts(
+        (circle[gap:] + circle[:gap],) + g.endpoints[1:], g.signs
+    )
 
 
 def canonical_code(g: GaussDiagram) -> str:
@@ -197,7 +273,7 @@ def canonical_code(g: GaussDiagram) -> str:
     parts = []
     for idx, is_head in g.endpoints[0]:
         label = labels.setdefault(idx, len(labels) + 1)
-        sign = "+" if g.arrows[idx].sign > 0 else "-"
+        sign = "+" if g.signs[idx] > 0 else "-"
         parts.append(f"{label}{sign}{'H' if is_head else 'T'}")
     return ",".join(parts)
 

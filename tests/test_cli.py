@@ -7,10 +7,12 @@ import sys
 
 import pytest
 
-from braidinv import BraidWord, closure_components
+from braidinv import BraidWord, closure_components, from_braid_closure
+from braidinv import cli, counting
 from braidinv.cli import (
     MAX_INVARIANT_LETTERS,
     MAX_INVARIANT_STRANDS,
+    braid_invariants,
     corollary_table,
     family_exponents,
     family_word,
@@ -57,6 +59,30 @@ def test_random_knot_words_are_knots_and_deterministic():
         assert closure_components(w) == 1
         assert 1 <= len(w) <= 10
         assert w.strands == 3
+
+
+def test_random_knot_words_refuse_impossible_shapes():
+    # Both shapes used to hang or raise IndexError; run each in a fresh
+    # process with a timeout so that a hang fails the test.
+    for args, message in (
+        ("1, max_len=2, strands=5", "no knot on 5 strands has at most 2 letters"),
+        ("1, strands=1", "at least 2 strands, got 1"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import random\n"
+             "from braidinv.cli import random_knot_words\n"
+             "try:\n"
+             f"    random_knot_words(random.Random(0), {args})\n"
+             "except ValueError as error:\n"
+             "    print(error)\n"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert message in done.stdout
+    # The shortest possible knot words are still found.
+    words = random_knot_words(random.Random(0), 5, max_len=4, strands=5)
+    assert all(len(w) == 4 and closure_components(w) == 1 for w in words)
 
 
 def test_theorem_table_values():
@@ -184,6 +210,23 @@ def test_cli_invariants_caps_the_strand_count(capsys):
     assert done.stdout == ""
     assert "30000000 strands" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_braid_invariants_builds_the_diagram_once(monkeypatch):
+    built = []
+
+    def counted(w):
+        built.append(w)
+        return from_braid_closure(w)
+
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "from_braid_closure", counted)
+    w = BraidWord((1, -2, 1, -2), 3)
+    record = braid_invariants(w)
+    assert built == [w]
+    assert (record["c2"], record["writhe"], record["oracle_match"]) == (-1, 0, True)
+    with pytest.raises(ValueError, match="closure has 3 components; invariants need a knot"):
+        braid_invariants(BraidWord((1, -2, 1, -2, 1, -2), 3))
 
 
 def test_cli_reports_internal_errors_without_a_traceback(capsys, monkeypatch):

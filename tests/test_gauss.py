@@ -1,6 +1,11 @@
+import dataclasses
+import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidinv import (
     EMPTY_CODE,
@@ -77,14 +82,40 @@ def test_counts_on_random_words():
         assert writhe(g) == sum(1 if x > 0 else -1 for x in letters)
 
 
+# One case per check of the public constructor, each with its message.
+INVALID_DIAGRAMS = [
+    (
+        (((0, False), (1, True)),),
+        (Arrow((0, 0), (0, 1), 1),),
+        "endpoint references arrow 1, out of range",
+    ),
+    (
+        (((0, True), (0, True)),),
+        (Arrow((0, 0), (0, 1), 1),),
+        "arrow 0 has two head endpoints",
+    ),
+    (
+        (((0, False),),),
+        (Arrow((0, 0), (0, 1), 1),),
+        "1 endpoints for 1 arrows; need exactly two each",
+    ),
+    (
+        (((0, False), (0, True)),),
+        (Arrow((0, 0), (0, 1), 2),),
+        "arrow 0 has sign 2, expected +1 or -1",
+    ),
+    (
+        (((0, False), (0, True)),),
+        (Arrow((0, 1), (0, 0), 1),),
+        "arrow 0 endpoints disagree with the circle data",
+    ),
+]
+
+
 def test_diagram_validation():
-    with pytest.raises(ValueError):
-        GaussDiagram(endpoints=(((0, False),),), arrows=(Arrow((0, 0), (0, 1), 1),))
-    with pytest.raises(ValueError):
-        GaussDiagram(
-            endpoints=(((0, False), (0, True)),),
-            arrows=(Arrow((0, 0), (0, 1), 2),),
-        )
+    for endpoints, arrows, message in INVALID_DIAGRAMS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussDiagram(endpoints=endpoints, arrows=arrows)
 
 
 def test_rebase_keeps_shape():
@@ -173,3 +204,92 @@ def test_block_deletion_recovers_smaller_family_diagram():
         trimmed = delete_arrows(big, range(2 * n, 2 * n + 6))
         small = from_braid_closure(power(FAMILY, n))
         assert isomorphic_unbased(trimmed, small)
+
+
+def tails_and_heads(endpoints, signs):
+    """Test oracle: the arrows of a diagram, located by one dict pass over its circles."""
+    tails, heads = {}, {}
+    for c, circle in enumerate(endpoints):
+        for p, (idx, is_head) in enumerate(circle):
+            (heads if is_head else tails)[idx] = (c, p)
+    return tuple(Arrow(tails[i], heads[i], signs[i]) for i in range(len(signs)))
+
+
+@st.composite
+def closure_words(draw):
+    """Words of up to 30 letters on 1-6 strands; about half are closed up to a knot.
+
+    Appending a generator at positions in two different circles joins them,
+    so after step i the positions 1..i+1 lie on one circle.
+    """
+    strands = draw(st.integers(1, 6))
+    letters = draw(
+        st.lists(
+            st.integers(1, max(1, strands - 1)).flatmap(lambda i: st.sampled_from((i, -i))),
+            max_size=30 if strands > 1 else 0,
+        )
+    )
+    w = BraidWord(tuple(letters), strands)
+    if draw(st.booleans()):
+        for i in range(1, strands):
+            joined = BraidWord(w.letters + (draw(st.sampled_from((i, -i))),), strands)
+            if closure_components(joined) < closure_components(w):
+                w = joined
+        assert closure_components(w) == 1
+    return w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(closure_words(), st.data())
+def test_built_diagrams_match_the_tails_and_heads_oracle(w, data):
+    word_signs = tuple(1 if letter > 0 else -1 for letter in w.letters)
+    g = from_braid_closure(w)
+    built = [(g, word_signs)]
+    circle = g.endpoints[0]
+    for gap in range(gap_count(g)):
+        moved = rebase(g, gap)
+        assert moved.endpoints == (circle[gap:] + circle[:gap],) + g.endpoints[1:]
+        assert moved.signs is g.signs
+        built.append((moved, word_signs))
+    doomed = data.draw(st.sets(st.integers(0, len(w) - 1)) if len(w) else st.just(set()))
+    kept = [i for i in range(len(w)) if i not in doomed]
+    trimmed = delete_arrows(g, doomed)
+    assert trimmed.endpoints == tuple(
+        tuple((kept.index(idx), is_head) for idx, is_head in c if idx not in doomed)
+        for c in g.endpoints
+    )
+    built.append((trimmed, tuple(word_signs[i] for i in kept)))
+    for d, signs in built:
+        assert d.signs == signs
+        assert d.arrows == tails_and_heads(d.endpoints, signs)
+        again = GaussDiagram(d.endpoints, d.arrows)
+        assert again == d and hash(again) == hash(d)
+        for name in ("endpoints", "signs", "arrows"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, ())
+
+
+def test_internal_construction_rejects_corrupt_circles():
+    g = from_braid_closure(power(FAMILY, 4))
+    circle = list(g.endpoints[0])
+    duplicated = circle[:1] + circle[:1] + circle[2:]
+    idx, is_head = circle[0]
+    kind = "head" if is_head else "tail"
+    with pytest.raises(ValueError, match=f"^arrow {idx} has two {kind} endpoints$"):
+        GaussDiagram._from_parts((tuple(duplicated),), g.signs)
+    out_of_range = [(g.arrow_count, False)] + circle[1:]
+    with pytest.raises(ValueError, match=f"^endpoint references arrow {g.arrow_count}, out"):
+        GaussDiagram._from_parts((tuple(out_of_range),), g.signs)
+
+
+def test_diagrams_keep_repr_pickle_and_equality():
+    g = from_braid_closure(TREFOIL)
+    assert repr(g) == (
+        "GaussDiagram(endpoints=(((0, True), (1, False), (2, True), (0, False),"
+        " (1, True), (2, False)),), arrows=(Arrow(tail=(0, 3), head=(0, 0), sign=1),"
+        " Arrow(tail=(0, 1), head=(0, 4), sign=1), Arrow(tail=(0, 5), head=(0, 2), sign=1)))"
+    )
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert g != from_braid_closure(BraidWord((-1, -1, -1), 2))
+    assert g != g.endpoints
+    assert len({g, rebase(g, 0), from_braid_closure(TREFOIL)}) == 1
