@@ -51,7 +51,6 @@ from .polynomials import (
     SkeinLimitError,
     alexander_of_closure,
     arf_oracle,
-    burau_generator,
     c2_oracle,
     conway_from_alexander,
     conway_of_closure,
@@ -96,7 +95,6 @@ __all__ = [
     "alexander_of_closure",
     "arf_of_braid_closure",
     "arf_oracle",
-    "burau_generator",
     "c2_of_braid_closure",
     "c2_oracle",
     "calibrate_pattern",

@@ -69,30 +69,6 @@ class Permutation:
     def identity(cls, k: int) -> "Permutation":
         return cls(tuple(range(1, k + 1)))
 
-    def degree(self) -> int:
-        return len(self.images)
-
-    def apply(self, point: int) -> int:
-        return self.images[point - 1]
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composite applying self first, then `other`."""
-        if other.degree() != self.degree():
-            raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
-
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            raise ValueError(f"power must be nonnegative, got {n}")
-        result = Permutation.identity(self.degree())
-        step = self
-        while n:
-            if n & 1:
-                result = result.then(step)
-            step = step.then(step)
-            n >>= 1
-        return result
-
     def cycle_count(self) -> int:
         seen = [False] * len(self.images)
         count = 0
@@ -105,9 +81,6 @@ class Permutation:
                 seen[point] = True
                 point = self.images[point] - 1
         return count
-
-    def is_identity(self) -> bool:
-        return all(image == i + 1 for i, image in enumerate(self.images))
 
 
 def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:

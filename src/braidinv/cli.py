@@ -22,13 +22,13 @@ from .braids import (
     parse_braid_word,
     power,
 )
-from .counting import C2_PATTERN, arf_of_braid_closure, c2_of_braid_closure, count_pattern
+from .counting import C2_PATTERN, count_pattern
 from .gauss import delete_arrows, from_braid_closure, isomorphic_unbased, writhe
 from .polynomials import (
+    ConwayPolynomial,
+    LaurentPolynomial,
     alexander_of_closure,
-    arf_oracle,
     conway_from_alexander,
-    determinant,
 )
 from .sequences import is_perfect_square, lucas, residue_mod8
 
@@ -104,6 +104,36 @@ def random_knot_words(
 
 
 @dataclasses.dataclass(frozen=True)
+class _KnotRecord:
+    """c2 and writhe from the Gauss diagram; det, Alexander and Conway from Burau."""
+
+    c2: int
+    writhe: int
+    det: int
+    alexander: LaurentPolynomial
+    conway: ConwayPolynomial
+
+
+def _knot_record(w: BraidWord) -> _KnotRecord:
+    """Check that `w` closes to a knot, then run the Gauss and the Burau route once each.
+
+    Raises ValueError when the closure is not a knot.
+    """
+    components = closure_components(w)
+    if components != 1:
+        raise ValueError(f"closure has {components} components; invariants need a knot")
+    diagram = from_braid_closure(w)
+    alexander = alexander_of_closure(w)
+    return _KnotRecord(
+        c2=count_pattern(diagram, C2_PATTERN).signed,
+        writhe=writhe(diagram),
+        det=abs(alexander.evaluate(-1)),
+        alexander=alexander,
+        conway=conway_from_alexander(alexander),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
 class TheoremRow:
     n: int
     word_length: int
@@ -122,31 +152,31 @@ def theorem_table(n_max: int) -> list[TheoremRow]:
 
     A row matches when the two Arf routes agree with each other and with the
     parity of the exponent, and when the determinant equals the Lucas value
-    of twice the exponent minus 2.
+    of twice the exponent minus 2.  Each row builds one Gauss diagram and
+    one Alexander polynomial, which also gives the Conway coefficient.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     rows = []
     for n in family_exponents(n_max):
         w = family_word(n)
-        c2 = c2_of_braid_closure(w)
-        arf_gauss = c2 % 2
-        arf_poly = arf_oracle(w)
-        det = determinant(w)
+        rec = _knot_record(w)
+        arf_gauss = rec.c2 % 2
+        arf_poly = rec.conway.coefficient(2) % 2
         pred = lucas(2 * n) - 2
         expected_arf = 1 if n % 2 == 0 else 0
         rows.append(
             TheoremRow(
                 n=n,
                 word_length=len(w),
-                components=closure_components(w),
+                components=1,
                 arf_gauss=arf_gauss,
                 arf_oracle=arf_poly,
-                c2=c2,
-                det=det,
+                c2=rec.c2,
+                det=rec.det,
                 lucas_pred=pred,
                 match_arf=(arf_gauss == arf_poly == expected_arf),
-                match_det=(det == pred),
+                match_det=(rec.det == pred),
             )
         )
     return rows
@@ -170,22 +200,24 @@ def recurrence_check(case: int, n_max: int) -> list[RecurrenceStep]:
     3(n-1) + case: the Arf bits must differ.  Each step also re-derives the
     structural fact behind the law: deleting the six arrows of the larger
     diagram's final cube block leaves a diagram isomorphic, up to base
-    point, to the smaller one.
+    point, to the smaller one.  One diagram is built per exponent: step n's
+    smaller diagram is step n-1's larger one, and the Arf bits and the block
+    deletion are all read from those diagrams.
     """
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     steps = []
+    low_diagram = from_braid_closure(family_word(case))
+    arf_low = count_pattern(low_diagram, C2_PATTERN).signed % 2
     for n in range(1, n_max + 1):
         high = 3 * n + case
-        low = 3 * (n - 1) + case
-        arf_high = arf_of_braid_closure(family_word(high))
-        arf_low = arf_of_braid_closure(family_word(low))
-        trimmed = delete_arrows(
-            from_braid_closure(family_word(high)), last_block_arrows(high)
-        )
-        deletion_ok = isomorphic_unbased(trimmed, from_braid_closure(family_word(low)))
+        low = high - 3
+        high_diagram = from_braid_closure(family_word(high))
+        arf_high = count_pattern(high_diagram, C2_PATTERN).signed % 2
+        trimmed = delete_arrows(high_diagram, last_block_arrows(high))
+        deletion_ok = isomorphic_unbased(trimmed, low_diagram)
         steps.append(
             RecurrenceStep(
                 n=n,
@@ -197,6 +229,7 @@ def recurrence_check(case: int, n_max: int) -> list[RecurrenceStep]:
                 deletion_ok=deletion_ok,
             )
         )
+        low_diagram, arf_low = high_diagram, arf_high
     return steps
 
 
@@ -225,15 +258,15 @@ def murasugi_check(n_max: int, samples: int = 200, seed: int = 0) -> list[Murasu
     ]
     rows = []
     for source, w in corpus:
-        arf = arf_oracle(w)
-        det = determinant(w)
-        res = residue_mod8(det)
+        rec = _knot_record(w)
+        arf = rec.conway.coefficient(2) % 2
+        res = residue_mod8(rec.det)
         rows.append(
             MurasugiRow(
                 source=source,
                 word=str(w),
                 arf=arf,
-                det=det,
+                det=rec.det,
                 residue8=res,
                 consistent=((arf == 0) == (res in (1, 7))),
             )
@@ -298,25 +331,19 @@ def braid_invariants(w: BraidWord) -> dict:
 
     Raises ValueError when the closure is not a knot.
     """
-    components = closure_components(w)
-    if components != 1:
-        raise ValueError(f"closure has {components} components; invariants need a knot")
-    diagram = from_braid_closure(w)
-    c2 = count_pattern(diagram, C2_PATTERN).signed
-    alexander = alexander_of_closure(w)
-    conway = conway_from_alexander(alexander)
+    rec = _knot_record(w)
     return {
         "word": str(w),
         "strands": w.strands,
         "word_length": len(w),
-        "components": components,
-        "writhe": writhe(diagram),
-        "c2": c2,
-        "arf": c2 % 2,
-        "det": abs(alexander.evaluate(-1)),
-        "alexander": str(alexander),
-        "conway": str(conway),
-        "oracle_match": c2 == conway.coefficient(2),
+        "components": 1,
+        "writhe": rec.writhe,
+        "c2": rec.c2,
+        "arf": rec.c2 % 2,
+        "det": rec.det,
+        "alexander": str(rec.alexander),
+        "conway": str(rec.conway),
+        "oracle_match": rec.c2 == rec.conway.coefficient(2),
     }
 
 

@@ -82,18 +82,9 @@ C2_PATTERN = ArrowPattern(HEAD_FIRST, TAIL_FIRST)
 
 @dataclasses.dataclass(frozen=True)
 class PatternCount:
-    """Signed pattern count plus its parity."""
+    """Signed count of the interleaved arrow pairs matching a pattern."""
 
     signed: int
-    unsigned_mod2: int
-
-    def __post_init__(self):
-        if self.unsigned_mod2 != self.signed % 2:
-            raise ValueError("parity field disagrees with the signed count")
-
-    @classmethod
-    def from_signed(cls, signed: int) -> "PatternCount":
-        return cls(signed, signed % 2)
 
 
 def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
@@ -139,7 +130,7 @@ def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
             while i <= size:
                 tree[i] += sign
                 i += i & -i
-    return PatternCount.from_signed(signed)
+    return PatternCount(signed)
 
 
 def default_calibration_corpus() -> list[tuple[BraidWord, int]]:

@@ -192,25 +192,32 @@ def from_braid_closure(w: BraidWord) -> GaussDiagram:
 
     For letter +i the strand in position i+1 is the overpass (arrow tail) and
     the sign is +1; for letter -i the strand in position i is the overpass
-    and the sign is -1.
+    and the sign is -1.  One walk down the word records the run of endpoints
+    each strand meets, keyed by its top position; the closure then joins the
+    runs into circles, in O(L + k) for L letters on k strands.
     """
+    runs: list[list[tuple[int, bool]]] = [[] for _ in range(w.strands)]
+    # top[c] is the top position (0-based) of the strand now in position c.
+    top = list(range(w.strands))
+    for j, letter in enumerate(w.letters):
+        i = abs(letter)
+        left, right = top[i - 1], top[i]
+        runs[left].append((j, letter > 0))
+        runs[right].append((j, letter < 0))
+        top[i - 1], top[i] = right, left
+    # The strand leaving the bottom of position c goes on from the top of c;
+    # a run already joined to a circle has its successor set to -1.
+    after = [0] * w.strands
+    for c, start in enumerate(top):
+        after[start] = c
     circles = []
-    visited: set[int] = set()
-    for start in range(1, w.strands + 1):
-        if start in visited:
+    for start in range(w.strands):
+        if after[start] < 0:
             continue
-        seq: list[tuple[int, bool]] = []
-        col = start
-        while True:
-            visited.add(col)
-            for j, letter in enumerate(w.letters):
-                i = abs(letter)
-                if col == i or col == i + 1:
-                    over_col = i + 1 if letter > 0 else i
-                    seq.append((j, col != over_col))
-                    col = 2 * i + 1 - col
-            if col == start:
-                break
+        p, seq = start, []
+        while after[p] >= 0:
+            seq += runs[p]
+            after[p], p = -1, after[p]
         circles.append(tuple(seq))
     signs = tuple(1 if letter > 0 else -1 for letter in w.letters)
     return GaussDiagram._from_parts(tuple(circles), signs)

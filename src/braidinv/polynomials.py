@@ -31,7 +31,6 @@ __all__ = [
     "SkeinLimitError",
     "alexander_of_closure",
     "arf_oracle",
-    "burau_generator",
     "c2_oracle",
     "conway_from_alexander",
     "conway_of_closure",
@@ -418,33 +417,6 @@ def _identity(size: int) -> list[list[LaurentPolynomial]]:
     one = LaurentPolynomial({0: 1})
     zero = LaurentPolynomial()
     return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
-def burau_generator(index: int, strands: int, inverted: bool = False):
-    """Reduced Burau matrix of one generator, in closed form.
-
-    The (k-1) x (k-1) convention used here sends the single generator of the
-    2-strand group to the 1 x 1 matrix (-t).
-    """
-    if strands < 2:
-        raise ValueError("the reduced Burau representation needs at least 2 strands")
-    size = strands - 1
-    if not 1 <= index <= size:
-        raise ValueError(f"generator index {index} out of range for {strands} strands")
-    m = _identity(size)
-    if inverted:
-        if index >= 2:
-            m[index - 2][index - 1] = LaurentPolynomial({0: 1})
-        m[index - 1][index - 1] = LaurentPolynomial({-1: -1})
-        if index <= size - 1:
-            m[index][index - 1] = LaurentPolynomial({-1: 1})
-    else:
-        if index >= 2:
-            m[index - 2][index - 1] = LaurentPolynomial({1: 1})
-        m[index - 1][index - 1] = LaurentPolynomial({1: -1})
-        if index <= size - 1:
-            m[index][index - 1] = LaurentPolynomial({0: 1})
-    return m
 
 
 def reduced_burau(w: BraidWord):

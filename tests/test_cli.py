@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from braidinv import BraidWord, closure_components, from_braid_closure
-from braidinv import cli, counting
+from braidinv import cli, counting, polynomials
 from braidinv.cli import (
     MAX_INVARIANT_LETTERS,
     MAX_INVARIANT_STRANDS,
@@ -227,6 +228,71 @@ def test_braid_invariants_builds_the_diagram_once(monkeypatch):
     assert (record["c2"], record["writhe"], record["oracle_match"]) == (-1, 0, True)
     with pytest.raises(ValueError, match="closure has 3 components; invariants need a knot"):
         braid_invariants(BraidWord((1, -2, 1, -2, 1, -2), 3))
+
+
+def test_each_row_builds_one_diagram_and_one_alexander_polynomial(monkeypatch):
+    diagrams, alexanders = [], []
+
+    def counter(calls, fn):
+        def counted(w):
+            calls.append(w)
+            return fn(w)
+        return counted
+
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "from_braid_closure",
+                            counter(diagrams, from_braid_closure))
+    for module in (cli, polynomials):
+        monkeypatch.setattr(module, "alexander_of_closure",
+                            counter(alexanders, polynomials.alexander_of_closure))
+
+    rows = theorem_table(10)
+    assert len(rows) == 7
+    assert diagrams == alexanders == [family_word(row.n) for row in rows]
+    diagrams.clear(), alexanders.clear()
+
+    rows = murasugi_check(5, samples=20)
+    assert len(rows) == 24
+    assert len(diagrams) == len(alexanders) == 24
+    assert [str(w) for w in diagrams] == [row.word for row in rows]
+    diagrams.clear(), alexanders.clear()
+
+    for case in (1, 2):
+        recurrence_check(case, 6)
+        assert diagrams == [family_word(3 * n + case) for n in range(7)]
+        assert alexanders == []
+        diagrams.clear()
+
+    w = BraidWord((1, -2, 1, -2), 3)
+    braid_invariants(w)
+    assert diagrams == alexanders == [w]
+
+
+# sha256 of stdout for invocations whose output must not change by one byte;
+# each exits 0 with nothing on stderr.
+GOLDEN_STDOUT = {
+    ("theorem",):
+        "3bb673b8f106bd9eadaffb5d3d87c5ae9cad244d735041092117903daccf5c9b",
+    ("theorem", "--max", "60", "--format", "csv"):
+        "31ab04a199007fc8fb7b91f364b1a3a05a919ad7d78e86616758cd74b5a6d01f",
+    ("murasugi",):
+        "2d6002e07a25ddbe2d24eae6d7e4573d8c7114e254f5113ccf8c169598ce1a48",
+    ("murasugi", "--max", "60", "--format", "json"):
+        "fbed515a4a15648d1a29b5cea08de09428bed9748de1127d26179d560d7fb2c5",
+    ("recurrence", "--case", "1", "--max", "30"):
+        "b64e3898c39f172637375a61dc17e1f29d242081a8ce48e2e45ec65ec8c20463",
+    ("recurrence", "--case", "2", "--max", "30"):
+        "ec9f639171108bfe7273d44453505e0198de02e28d1f2685b9687b0b1cbd91ba",
+    ("invariants", "--braid", "1 -2", "--power", "200"):
+        "e26762d078e6506250756bcef5574e70e28ee628abaaece94bccbdc524372781",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_cli_stdout_matches_the_golden_digest(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 def test_cli_reports_internal_errors_without_a_traceback(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from braidinv import (
     CalibrationError,
     HEAD_FIRST,
     TAIL_FIRST,
-    PatternCount,
     calibrate_pattern,
     arf_of_braid_closure,
     c2_of_braid_closure,
@@ -63,14 +62,6 @@ def test_pattern_validation_and_order():
     assert str(ArrowPattern(HEAD_FIRST, TAIL_FIRST)) == "head-tail"
     with pytest.raises(ValueError):
         ArrowPattern("sideways", TAIL_FIRST)
-
-
-def test_pattern_count_parity():
-    pc = PatternCount.from_signed(-3)
-    assert pc.signed == -3
-    assert pc.unsigned_mod2 == 1
-    with pytest.raises(ValueError):
-        PatternCount(2, 1)
 
 
 def test_calibration_selects_frozen_pattern():

@@ -215,6 +215,29 @@ def tails_and_heads(endpoints, signs):
     return tuple(Arrow(tails[i], heads[i], signs[i]) for i in range(len(signs)))
 
 
+def scanned_circles(w):
+    """Test oracle: the closure walked strand by strand, scanning the whole word per pass."""
+    circles = []
+    visited = set()
+    for start in range(1, w.strands + 1):
+        if start in visited:
+            continue
+        seq = []
+        col = start
+        while True:
+            visited.add(col)
+            for j, letter in enumerate(w.letters):
+                i = abs(letter)
+                if col == i or col == i + 1:
+                    over_col = i + 1 if letter > 0 else i
+                    seq.append((j, col != over_col))
+                    col = 2 * i + 1 - col
+            if col == start:
+                break
+        circles.append(tuple(seq))
+    return tuple(circles)
+
+
 @st.composite
 def closure_words(draw):
     """Words of up to 30 letters on 1-6 strands; about half are closed up to a knot.
@@ -244,6 +267,7 @@ def closure_words(draw):
 def test_built_diagrams_match_the_tails_and_heads_oracle(w, data):
     word_signs = tuple(1 if letter > 0 else -1 for letter in w.letters)
     g = from_braid_closure(w)
+    assert g.endpoints == scanned_circles(w)
     built = [(g, word_signs)]
     circle = g.endpoints[0]
     for gap in range(gap_count(g)):
@@ -267,6 +291,14 @@ def test_built_diagrams_match_the_tails_and_heads_oracle(w, data):
         for name in ("endpoints", "signs", "arrows"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(d, name, ())
+
+
+def test_one_pass_build_matches_the_scan_on_family_and_wide_words():
+    rng = random.Random(64)
+    alphabet = [g for i in range(1, 64) for g in (i, -i)]
+    wide = BraidWord(tuple(rng.choice(alphabet) for _ in range(1961)), 64)
+    for w in [power(FAMILY, n) for n in range(60)] + [wide]:
+        assert from_braid_closure(w).endpoints == scanned_circles(w)
 
 
 def test_internal_construction_rejects_corrupt_circles():

