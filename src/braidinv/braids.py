@@ -130,7 +130,8 @@ def power(w: BraidWord, n: int) -> BraidWord:
     """The word repeated n times (n = 0 gives the empty word on the same strands)."""
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
-    return BraidWord(w.letters * n, w.strands)
+    # Repeating () past sys.maxsize times overflows; the power is () anyway.
+    return BraidWord(w.letters * n if w.letters else (), w.strands)
 
 
 def inverse(w: BraidWord) -> BraidWord:

@@ -14,7 +14,7 @@ arrow; where each arrow's tail and head sit is derived from the endpoints
 only when asked for.  Rebasing rotates circle 0 and shares the signs, and
 the pattern count, canonical codes, writhe and arrow deletion read the
 endpoints and signs directly.  Every diagram is still checked when it is
-built, by one set comparison over its endpoints and signs.
+built, by one walk over its endpoints that stops at the first fault.
 
 Canonical codes label arrows in order of first visit from the base point and
 list one label/sign/T-or-H triple per endpoint.  The strings are stable
@@ -22,7 +22,6 @@ across releases and appear as golden values in the test suite.
 """
 
 import dataclasses
-import itertools
 from collections.abc import Iterable
 
 from .braids import BraidWord
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 EMPTY_CODE = ""
-_SIGNS = frozenset((-1, 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +77,7 @@ class GaussDiagram:
         endpoints = tuple(tuple(circle) for circle in endpoints)
         arrows = tuple(arrows)
         signs = tuple(arrow.sign for arrow in arrows)
-        _locate(endpoints, signs, arrows)
+        _check(endpoints, signs, arrows)
         _init(self, endpoints, signs, arrows)
 
     @classmethod
@@ -131,50 +129,39 @@ def _init(g: GaussDiagram, endpoints, signs, arrows) -> None:
     object.__setattr__(g, "_arrows", arrows)
 
 
-def _check(endpoints, signs) -> None:
-    """Raise ValueError unless every arrow has one tail, one head and a sign of +-1.
+def _check(endpoints, signs, arrows=None) -> None:
+    """Walk the endpoints once and raise ValueError at the first fault.
 
-    One pass builds the set of endpoints: it must be every (index, tail or
-    head) pair for the arrow count, with no endpoint left over.  Only a
-    failing diagram is walked endpoint by endpoint, to name its first fault.
+    Every arrow index must be in range, every arrow must have exactly one
+    tail and one head endpoint, and every sign must be +1 or -1.  With
+    `arrows`, each arrow must also sit where the circles put it.
     """
     n = len(signs)
-    if (
-        set(itertools.chain.from_iterable(endpoints))
-        != set(itertools.product(range(n), (False, True)))
-        or sum(map(len, endpoints)) != 2 * n
-        or not _SIGNS.issuperset(signs)
-    ):
-        _locate(endpoints, signs)
-        raise AssertionError("the endpoint walk passed a diagram the set check refused")
-
-
-def _locate(endpoints, signs, arrows=None) -> None:
-    """Walk the endpoints one by one and raise ValueError at the first fault.
-
-    With `arrows`, also check that each arrow sits where the circles put it.
-    """
-    located: dict[tuple[int, bool], tuple[int, int]] = {}
-    total = 0
+    total = sum(map(len, endpoints))
+    # located[2 * idx + is_head] is c * total + p for the endpoint at (c, p).
+    # An is_head that is not a bool fills no slot, so its arrow lacks an end.
+    located: list = [None] * (2 * n)
     for c, circle in enumerate(endpoints):
-        for p, (idx, is_head) in enumerate(circle):
-            total += 1
-            if not 0 <= idx < len(signs):
+        for key, (idx, is_head) in enumerate(circle, c * total):
+            if not 0 <= idx < n:
                 raise ValueError(f"endpoint references arrow {idx}, out of range")
-            key = (idx, is_head)
-            if key in located:
-                kind = "head" if is_head else "tail"
-                raise ValueError(f"arrow {idx} has two {kind} endpoints")
-            located[key] = (c, p)
-    if total != 2 * len(signs):
-        raise ValueError(
-            f"{total} endpoints for {len(signs)} arrows; need exactly two each"
-        )
-    for i, sign in enumerate(signs):
+            if is_head in (False, True):
+                slot = 2 * idx + 1 if is_head else 2 * idx
+                if located[slot] is not None:
+                    kind = "head" if is_head else "tail"
+                    raise ValueError(f"arrow {idx} has two {kind} endpoints")
+                located[slot] = key
+    if total != 2 * n:
+        raise ValueError(f"{total} endpoints for {n} arrows; need exactly two each")
+    for i, (sign, tail, head) in enumerate(zip(signs, located[::2], located[1::2])):
         if sign not in (-1, 1):
             raise ValueError(f"arrow {i} has sign {sign}, expected +1 or -1")
-        where = (located.get((i, False)), located.get((i, True)))
-        if None in where or arrows is not None and where != (arrows[i].tail, arrows[i].head):
+        if (
+            tail is None
+            or head is None
+            or arrows is not None
+            and (divmod(tail, total), divmod(head, total)) != (arrows[i].tail, arrows[i].head)
+        ):
             raise ValueError(f"arrow {i} endpoints disagree with the circle data")
 
 

@@ -17,7 +17,9 @@ passes over those lists.  A product of short operands is the double loop;
 past KRONECKER_MIN_TERMS terms each operand is packed into one integer, the
 two are multiplied once, and the coefficients are read back from the bytes
 of the result (Kronecker substitution; Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", 2009).
+multiplication via multipoint Kronecker substitution", 2009).  A Conway
+polynomial is a Laurent polynomial in z with the same storage and
+arithmetic, kept apart from polynomials in t by its class.
 """
 
 from operator import add, sub
@@ -61,17 +63,17 @@ def _format_terms(terms, var: str) -> str:
     return "".join(parts) or "0"
 
 
-def _laurent(low: int, coeffs: list) -> "LaurentPolynomial":
-    # Takes ownership of `coeffs`, which has no zero at either end; the zero
-    # polynomial is (0, []).  No instance ever mutates its list, so shifted
-    # copies may share one.
-    p = object.__new__(LaurentPolynomial)
+def _laurent(cls, low: int, coeffs: list) -> "LaurentPolynomial":
+    # A `cls` instance that takes ownership of `coeffs`, which has no zero at
+    # either end; the zero polynomial is (0, []).  No instance ever mutates
+    # its list, so shifted copies may share one.
+    p = object.__new__(cls)
     p._low = low
     p._coeffs = coeffs
     return p
 
 
-def _trimmed(low: int, coeffs: list) -> "LaurentPolynomial":
+def _trimmed(cls, low: int, coeffs: list) -> "LaurentPolynomial":
     # `coeffs` starts at exponent `low` and may have zeros at either end.
     end = len(coeffs)
     while end and not coeffs[end - 1]:
@@ -81,7 +83,7 @@ def _trimmed(low: int, coeffs: list) -> "LaurentPolynomial":
         start += 1
     if start or end < len(coeffs):
         coeffs = coeffs[start:end]
-    return _laurent(low + start if coeffs else 0, coeffs)
+    return _laurent(cls, low + start if coeffs else 0, coeffs)
 
 
 def _combine(a: "LaurentPolynomial", b: "LaurentPolynomial", op) -> "LaurentPolynomial":
@@ -92,7 +94,7 @@ def _combine(a: "LaurentPolynomial", b: "LaurentPolynomial", op) -> "LaurentPoly
     out[i : i + len(a._coeffs)] = a._coeffs
     i = b._low - low
     out[i : i + len(b._coeffs)] = map(op, out[i : i + len(b._coeffs)], b._coeffs)
-    return _trimmed(low, out)
+    return _trimmed(a.__class__, low, out)
 
 
 def _pack(coeffs: list, width: int, half: int) -> int:
@@ -159,7 +161,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
+        return _trimmed(cls, exponent, [coefficient])
 
     def coefficient(self, exponent: int) -> int:
         index = exponent - self._low
@@ -187,10 +189,12 @@ class LaurentPolynomial:
         return self._low + len(self._coeffs) - 1
 
     def _coerce(self, other):
-        if isinstance(other, LaurentPolynomial):
+        # Operands mix only with their own class; plain Laurent polynomials
+        # also take ints.
+        if other.__class__ is self.__class__:
             return other
-        if isinstance(other, int):
-            return _laurent(0, [other] if other else [])
+        if isinstance(other, int) and self.__class__ is LaurentPolynomial:
+            return _laurent(LaurentPolynomial, 0, [other] if other else [])
         return None
 
     def __add__(self, other):
@@ -206,7 +210,7 @@ class LaurentPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent(self._low, [-c for c in self._coeffs])
+        return _laurent(self.__class__, self._low, [-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -229,15 +233,17 @@ class LaurentPolynomial:
         if other is None:
             return NotImplemented
         if not self._coeffs or not other._coeffs:
-            return _laurent(0, [])
-        return _trimmed(self._low + other._low, _product(self._coeffs, other._coeffs))
+            return _laurent(self.__class__, 0, [])
+        return _trimmed(
+            self.__class__, self._low + other._low, _product(self._coeffs, other._coeffs)
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
             raise ValueError(f"power must be nonnegative, got {n}")
-        result = _laurent(0, [1])
+        result = _laurent(self.__class__, 0, [1])
         for _ in range(n):
             result = result * self
         return result
@@ -258,13 +264,13 @@ class LaurentPolynomial:
         """Multiply by t^offset."""
         if not self._coeffs:
             return self
-        return _laurent(self._low + offset, self._coeffs)
+        return _laurent(self.__class__, self._low + offset, self._coeffs)
 
     def mirror(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
         if not self._coeffs:
             return self
-        return _laurent(-self.max_exp, self._coeffs[::-1])
+        return _laurent(self.__class__, -self.max_exp, self._coeffs[::-1])
 
     def is_palindromic(self) -> bool:
         coeffs = self._coeffs
@@ -291,7 +297,7 @@ class LaurentPolynomial:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPolynomial()
+            return self
         num = self._coeffs[:]
         div = divisor._coeffs
         width = len(div)
@@ -309,7 +315,7 @@ class LaurentPolynomial:
                 num[pos : pos + width] = [n - q * d for n, d in zip(window, div)]
         if any(num):
             raise ValueError("not exactly divisible")
-        return _trimmed(self._low - divisor._low, quotient)
+        return _trimmed(self.__class__, self._low - divisor._low, quotient)
 
     def __floordiv__(self, other):
         other = self._coerce(other)
@@ -324,93 +330,49 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({dict(self.terms())!r})"
 
 
-class ConwayPolynomial:
-    """Immutable integer polynomial in z; the index is the power of z."""
+class ConwayPolynomial(LaurentPolynomial):
+    """Immutable integer polynomial in z: a LaurentPolynomial in z with no negative powers.
 
-    __slots__ = ("_coeffs",)
+    Built from coefficients indexed by the power of z.  All arithmetic is
+    LaurentPolynomial's, on the same dense storage, and its results are
+    Conway polynomials again.  A Conway polynomial never mixes with a
+    LaurentPolynomial or an int: `==` is False and `+` a TypeError.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        values = list(coeffs)
-        while values and values[-1] == 0:
-            values.pop()
-        object.__setattr__(self, "_coeffs", tuple(values))
+        super().__init__(enumerate(coeffs))
 
     @property
     def coefficients(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    def coefficient(self, power: int) -> int:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return 0
+        """Coefficients from z^0 up to the degree; () for the zero polynomial."""
+        return (0,) * self._low + tuple(self._coeffs)
 
     def degree(self) -> int:
         """Degree in z, or -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._low + len(self._coeffs) - 1
 
     def times_z(self) -> "ConwayPolynomial":
-        if not self._coeffs:
-            return self
-        return ConwayPolynomial((0,) + self._coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, ConwayPolynomial):
-            return NotImplemented
-        longer, shorter = self._coeffs, other._coeffs
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        total = list(longer)
-        for i, c in enumerate(shorter):
-            total[i] += c
-        return ConwayPolynomial(total)
-
-    def __sub__(self, other):
-        if not isinstance(other, ConwayPolynomial):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self):
-        return ConwayPolynomial(tuple(-c for c in self._coeffs))
-
-    def __mul__(self, other):
-        if not isinstance(other, ConwayPolynomial):
-            return NotImplemented
-        product = [0] * max(len(self._coeffs) + len(other._coeffs) - 1, 0)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                product[i + j] += a * b
-        return ConwayPolynomial(product)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConwayPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __bool__(self):
-        return bool(self._coeffs)
+        return self.shifted(1)
 
     def to_alexander(self) -> LaurentPolynomial:
         """Substitute z^2 = t - 2 + 1/t; defined when odd powers are absent."""
-        if any(self._coeffs[i] for i in range(1, len(self._coeffs), 2)):
+        coeffs = self.coefficients
+        if any(coeffs[1::2]):
             raise ValueError("odd powers of z have no Laurent image under z^2 = t - 2 + 1/t")
         # Horner in z^2: one multiply by t - 2 + 1/t per even power.
         base = LaurentPolynomial({1: 1, 0: -2, -1: 1})
         total = LaurentPolynomial()
-        for c in reversed(self._coeffs[::2]):
+        for c in reversed(coeffs[::2]):
             total = total * base + c
         return total
 
     def __str__(self):
-        return _format_terms(((i, c) for i, c in enumerate(self._coeffs) if c), "z")
+        return _format_terms(self.terms(), "z")
 
     def __repr__(self):
-        return f"ConwayPolynomial({self._coeffs!r})"
+        return f"ConwayPolynomial({self.coefficients!r})"
 
 
 def _identity(size: int) -> list[list[LaurentPolynomial]]:
@@ -510,7 +472,7 @@ def conway_from_alexander(alexander: LaurentPolynomial) -> ConwayPolynomial:
     y[0] += a[0]
     coeffs = [0] * (2 * len(y) - 1)
     coeffs[::2] = y
-    return ConwayPolynomial(coeffs)
+    return _trimmed(ConwayPolynomial, 0, coeffs)
 
 
 def conway_of_closure(w: BraidWord) -> ConwayPolynomial:
@@ -559,7 +521,7 @@ def _trace(element, memo):
     # removing g_(k-1) by a Markov move leaves T_u g_(k-2) ... g_(p+1) on
     # k-1 strands.  With the largest value last, the last strand closes to
     # an unknot split from the rest.
-    total = ConwayPolynomial()
+    total = _laurent(ConwayPolynomial, 0, [])
     for perm, coeff in element.items():
         value = memo.get(perm)
         if value is None:
@@ -568,7 +530,7 @@ def _trace(element, memo):
             if k == 1:
                 value = _ONE
             elif p == k - 1:
-                value = ConwayPolynomial()
+                value = _laurent(ConwayPolynomial, 0, [])
             else:
                 reduced = {perm[:p] + perm[p + 1 :]: _ONE}
                 for i in range(k - 3, p - 1, -1):

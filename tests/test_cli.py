@@ -213,6 +213,28 @@ def test_cli_invariants_caps_the_strand_count(capsys):
     assert "Traceback" not in done.stderr
 
 
+def test_cli_invariants_powers_the_empty_word_without_building_it():
+    # The letter cap passes 0 letters times any power; the power of the
+    # empty word is the empty word, even past sys.maxsize.
+    huge = "100000000000000000000"
+    done = subprocess.run(
+        [sys.executable, "-m", "braidinv", "invariants", "--braid", "", "--power", huge],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    _, row = done.stdout.splitlines()
+    assert row.split() == "1 0 1 0 0 0 1 1 1 true".split()  # the unknot, word ""
+    assert "Traceback" not in done.stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "braidinv", "invariants", "--braid", "", "--strands", "3",
+         "--power", huge],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 1
+    assert "3 components" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_braid_invariants_builds_the_diagram_once(monkeypatch):
     built = []
 

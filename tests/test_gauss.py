@@ -325,3 +325,77 @@ def test_diagrams_keep_repr_pickle_and_equality():
     assert g != from_braid_closure(BraidWord((-1, -1, -1), 2))
     assert g != g.endpoints
     assert len({g, rebase(g, 0), from_braid_closure(TREFOIL)}) == 1
+
+
+def locate_oracle(endpoints, signs, arrows=None) -> None:
+    """Test oracle: walk the endpoints through a dict and raise ValueError at the first fault.
+
+    With `arrows`, also check that each arrow sits where the circles put it.
+    """
+    located: dict[tuple[int, bool], tuple[int, int]] = {}
+    total = 0
+    for c, circle in enumerate(endpoints):
+        for p, (idx, is_head) in enumerate(circle):
+            total += 1
+            if not 0 <= idx < len(signs):
+                raise ValueError(f"endpoint references arrow {idx}, out of range")
+            key = (idx, is_head)
+            if key in located:
+                kind = "head" if is_head else "tail"
+                raise ValueError(f"arrow {idx} has two {kind} endpoints")
+            located[key] = (c, p)
+    if total != 2 * len(signs):
+        raise ValueError(
+            f"{total} endpoints for {len(signs)} arrows; need exactly two each"
+        )
+    for i, sign in enumerate(signs):
+        if sign not in (-1, 1):
+            raise ValueError(f"arrow {i} has sign {sign}, expected +1 or -1")
+        where = (located.get((i, False)), located.get((i, True)))
+        if None in where or arrows is not None and where != (arrows[i].tail, arrows[i].head):
+            raise ValueError(f"arrow {i} endpoints disagree with the circle data")
+
+
+FAULTS = ("duplicate", "out of range", "drop", "extra", "sign", "is_head", "arrow")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(closure_words().filter(len), st.sampled_from(FAULTS), st.data())
+def test_validation_names_the_fault_the_oracle_names(w, fault, data):
+    g = from_braid_closure(w)
+    n = g.arrow_count
+    circles = [list(circle) for circle in g.endpoints]
+    signs = list(g.signs)
+    arrows = list(g.arrows)
+    spots = [(c, p) for c, circle in enumerate(circles) for p in range(len(circle))]
+    c, p = data.draw(st.sampled_from(spots))
+    i = data.draw(st.integers(0, n - 1))
+    if fault == "duplicate":
+        c2, p2 = data.draw(st.sampled_from([s for s in spots if s != (c, p)]))
+        circles[c][p] = circles[c2][p2]
+    elif fault == "out of range":
+        circles[c][p] = (data.draw(st.sampled_from((-1, n, n + 7))), circles[c][p][1])
+    elif fault == "drop":
+        del circles[c][p]
+    elif fault == "extra":
+        circles[c].insert(p + data.draw(st.integers(0, 1)), (i, data.draw(st.booleans())))
+    elif fault == "sign":
+        signs[i] = data.draw(st.sampled_from((0, 2)))
+        arrows[i] = dataclasses.replace(arrows[i], sign=signs[i])
+    elif fault == "is_head":
+        circles[c][p] = (circles[c][p][0], data.draw(st.sampled_from((2, None))))
+    else:
+        end = data.draw(st.sampled_from(("tail", "head")))
+        wrong = [s for s in spots if s != getattr(arrows[i], end)]
+        wrong += [(0, -1), (0, 2 * n), (len(circles), 0)]
+        arrows[i] = dataclasses.replace(arrows[i], **{end: data.draw(st.sampled_from(wrong))})
+    endpoints = tuple(map(tuple, circles))
+    with pytest.raises(ValueError) as expected:
+        locate_oracle(endpoints, tuple(signs), tuple(arrows))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        GaussDiagram(endpoints, arrows)
+    if fault != "arrow":
+        with pytest.raises(ValueError) as expected:
+            locate_oracle(endpoints, tuple(signs))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            GaussDiagram._from_parts(endpoints, tuple(signs))

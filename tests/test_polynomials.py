@@ -174,6 +174,141 @@ def test_conway_polynomial_arithmetic():
     assert p * ConwayPolynomial() == ConwayPolynomial()
 
 
+class TupleConway:
+    """Test oracle: a Conway polynomial as a tuple indexed by the power of z."""
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs=()):
+        values = list(coeffs)
+        while values and values[-1] == 0:
+            values.pop()
+        object.__setattr__(self, "_coeffs", tuple(values))
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        return self._coeffs
+
+    def coefficient(self, power: int) -> int:
+        if 0 <= power < len(self._coeffs):
+            return self._coeffs[power]
+        return 0
+
+    def degree(self) -> int:
+        return len(self._coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def times_z(self):
+        if not self._coeffs:
+            return self
+        return TupleConway((0,) + self._coeffs)
+
+    def __add__(self, other):
+        if not isinstance(other, TupleConway):
+            return NotImplemented
+        longer, shorter = self._coeffs, other._coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        total = list(longer)
+        for i, c in enumerate(shorter):
+            total[i] += c
+        return TupleConway(total)
+
+    def __sub__(self, other):
+        if not isinstance(other, TupleConway):
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return TupleConway(tuple(-c for c in self._coeffs))
+
+    def __mul__(self, other):
+        if not isinstance(other, TupleConway):
+            return NotImplemented
+        product = [0] * max(len(self._coeffs) + len(other._coeffs) - 1, 0)
+        for i, a in enumerate(self._coeffs):
+            for j, b in enumerate(other._coeffs):
+                product[i + j] += a * b
+        return TupleConway(product)
+
+    def __eq__(self, other):
+        if not isinstance(other, TupleConway):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash(self._coeffs)
+
+    def __bool__(self):
+        return bool(self._coeffs)
+
+    def __str__(self):
+        return polynomials._format_terms(
+            ((i, c) for i, c in enumerate(self._coeffs) if c), "z"
+        )
+
+    def __repr__(self):
+        return f"ConwayPolynomial({self._coeffs!r})"
+
+
+# Coefficient tuples with zeros at either end, the zero polynomial among them.
+conway_coefficients = st.tuples(
+    st.integers(0, 3),
+    st.lists(st.integers(-3, 3) | st.integers(-(10**30), 10**30), max_size=6),
+    st.integers(0, 3),
+).map(lambda parts: (0,) * parts[0] + tuple(parts[1]) + (0,) * parts[2])
+
+
+def agree(p: ConwayPolynomial, oracle: TupleConway) -> None:
+    assert type(p) is ConwayPolynomial
+    assert p.coefficients == oracle.coefficients
+    assert p.degree() == oracle.degree()
+    for power in range(-2, len(oracle.coefficients) + 2):
+        assert p.coefficient(power) == oracle.coefficient(power)
+    assert p.is_zero() == oracle.is_zero()
+    assert bool(p) == bool(oracle)
+    assert str(p) == str(oracle)
+    assert repr(p) == repr(oracle)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conway_coefficients, conway_coefficients)
+def test_conway_arithmetic_matches_the_tuple_oracle(a, b):
+    p, q = ConwayPolynomial(a), ConwayPolynomial(b)
+    tp, tq = TupleConway(a), TupleConway(b)
+    agree(p, tp)
+    agree(q, tq)
+    agree(p + q, tp + tq)
+    agree(p - q, tp - tq)
+    agree(-p, -tp)
+    agree(p * q, tp * tq)
+    agree(p.times_z(), tp.times_z())
+    assert (p == q) == (tp == tq)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert p == ConwayPolynomial(a) and hash(p) == hash(ConwayPolynomial(a))
+
+
+def test_conway_polynomials_mix_with_nothing_else():
+    p = ConwayPolynomial((1, 0, -2))
+    same_terms = LaurentPolynomial({0: 1, 2: -2})
+    one = ConwayPolynomial((1,))
+    assert p != same_terms and same_terms != p
+    assert one != 1 and 1 != one
+    for other in (same_terms, 1):
+        for op in (
+            lambda x, y: x + y,
+            lambda x, y: x - y,
+            lambda x, y: x * y,
+        ):
+            with pytest.raises(TypeError):
+                op(p, other)
+            with pytest.raises(TypeError):
+                op(other, p)
+
+
 def burau_generator(index: int, strands: int, inverted: bool = False):
     """Test oracle: reduced Burau matrix of one generator, in closed form.
 
