@@ -35,7 +35,6 @@ from .counting import (
 )
 from .gauss import (
     EMPTY_CODE,
-    Arrow,
     GaussDiagram,
     canonical_code,
     delete_arrows,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_PATTERNS",
-    "Arrow",
     "ArrowPattern",
     "BraidParseError",
     "BraidWord",

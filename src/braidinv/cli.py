@@ -72,7 +72,7 @@ def family_exponents(n_max: int) -> list[int]:
 
 
 def last_block_arrows(n: int) -> range:
-    """Arrow indices of the final cube of the family braid inside family_word(n)."""
+    """Indices of the arrows of the final cube of the family braid in family_word(n)."""
     if n < 3:
         raise ValueError(f"need at least the third power, got {n}")
     return range(2 * n - 6, 2 * n)

@@ -5,10 +5,10 @@ their four endpoints alternate.  The pattern of such a pair records, for the
 arrow seen first and the arrow seen second, whether each is met tail first
 or head first, and a matching pair contributes the product of its two signs.
 The count is one walk along the circle in O(n log n) for n arrows, reading
-the endpoints and signs of the diagram and no Arrow objects: when an arrow's
-second endpoint is reached, a Fenwick tree over the positions holds the
-signs of the arrows already closed that may fill the first slot, each stored
-at its first endpoint.
+the endpoints and signs of the diagram: when an arrow's second endpoint is
+reached, a Fenwick tree over the positions holds the signs of the arrows
+already closed that may fill the first slot, each stored at its first
+endpoint.
 
 Only a pattern whose signed count is independent of the base point can
 define a knot invariant.  `calibrate_pattern` pins the convention against

@@ -10,11 +10,10 @@ crossing sign.  The base point sits in the gap just before the first
 endpoint met on circle 0, so position 0 is immediately after it.
 
 A diagram is stored as its endpoints, circle by circle, plus one sign per
-arrow; where each arrow's tail and head sit is derived from the endpoints
-only when asked for.  Rebasing rotates circle 0 and shares the signs, and
-the pattern count, canonical codes, writhe and arrow deletion read the
-endpoints and signs directly.  Every diagram is still checked when it is
-built, by one walk over its endpoints that stops at the first fault.
+arrow, and nothing else.  Rebasing rotates circle 0 and shares the signs,
+and the pattern count, canonical codes, writhe and arrow deletion read the
+endpoints and signs directly.  Every diagram is checked when it is built,
+by one walk over its endpoints that stops at the first fault.
 
 Canonical codes label arrows in order of first visit from the base point and
 list one label/sign/T-or-H triple per endpoint.  The strings are stable
@@ -27,7 +26,6 @@ from collections.abc import Iterable
 from .braids import BraidWord
 
 __all__ = [
-    "Arrow",
     "EMPTY_CODE",
     "GaussDiagram",
     "canonical_code",
@@ -43,56 +41,29 @@ EMPTY_CODE = ""
 
 
 @dataclasses.dataclass(frozen=True)
-class Arrow:
-    """One crossing: tail at the over-passage, head at the under-passage.
-
-    Endpoints are (circle, position) pairs into a GaussDiagram.
-    """
-
-    tail: tuple[int, int]
-    head: tuple[int, int]
-    sign: int
-
-
 class GaussDiagram:
     """Signed directed chords on one or more based oriented circles.
 
     A diagram is its circles plus its signs.  `endpoints[c][p]` is the
     endpoint at position p of circle c, stored as an (arrow index, is_head)
     pair, and `signs[i]` is the sign of arrow i.  Circle 0 carries the base
-    point in the gap before position 0.  `arrows[i]` records where the two
-    endpoints of arrow i sit; it is derived from the circles on first access
-    and then kept.
+    point in the gap before position 0.
 
-    Every diagram is checked when it is built: each arrow index is in range,
-    each arrow has exactly one tail and one head endpoint, and each sign is
-    +1 or -1.  The public constructor takes the arrows too and also checks
-    that they agree with the circles.  Diagrams are immutable, and equal when
-    their circles and signs are equal.
+    The constructor turns both fields into tuples and checks them: each
+    arrow index is in range, each arrow has exactly one tail and one head
+    endpoint, and each sign is +1 or -1.  Diagrams are immutable, and equal
+    when their circles and signs are equal.
     """
 
-    __slots__ = ("endpoints", "signs", "_arrows")
+    endpoints: tuple[tuple[tuple[int, bool], ...], ...]
+    signs: tuple[int, ...]
 
-    def __init__(self, endpoints, arrows):
-        endpoints = tuple(tuple(circle) for circle in endpoints)
-        arrows = tuple(arrows)
-        signs = tuple(arrow.sign for arrow in arrows)
-        _check(endpoints, signs, arrows)
-        _init(self, endpoints, signs, arrows)
-
-    @classmethod
-    def _from_parts(cls, endpoints, signs) -> "GaussDiagram":
-        """A checked diagram from tuples of endpoint tuples and signs; arrows come later."""
+    def __post_init__(self):
+        endpoints = tuple(map(tuple, self.endpoints))
+        signs = tuple(self.signs)
         _check(endpoints, signs)
-        g = object.__new__(cls)
-        _init(g, endpoints, signs, None)
-        return g
-
-    @property
-    def arrows(self) -> tuple[Arrow, ...]:
-        if self._arrows is None:
-            object.__setattr__(self, "_arrows", _derive_arrows(self.endpoints, self.signs))
-        return self._arrows
+        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def circle_count(self) -> int:
@@ -102,76 +73,39 @@ class GaussDiagram:
     def arrow_count(self) -> int:
         return len(self.signs)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.endpoints == other.endpoints and self.signs == other.signs
-
-    def __hash__(self):
-        return hash((self.endpoints, self.signs))
-
-    def __repr__(self):
-        return f"GaussDiagram(endpoints={self.endpoints!r}, arrows={self.arrows!r})"
-
     def __reduce__(self):
-        return GaussDiagram, (self.endpoints, self.arrows)
-
-    def __setattr__(self, name, value):
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        # Unpickling and copying go through the checking constructor.
+        return GaussDiagram, (self.endpoints, self.signs)
 
 
-def _init(g: GaussDiagram, endpoints, signs, arrows) -> None:
-    object.__setattr__(g, "endpoints", endpoints)
-    object.__setattr__(g, "signs", signs)
-    object.__setattr__(g, "_arrows", arrows)
-
-
-def _check(endpoints, signs, arrows=None) -> None:
+def _check(endpoints, signs) -> None:
     """Walk the endpoints once and raise ValueError at the first fault.
 
     Every arrow index must be in range, every arrow must have exactly one
-    tail and one head endpoint, and every sign must be +1 or -1.  With
-    `arrows`, each arrow must also sit where the circles put it.
+    tail and one head endpoint, and every sign must be +1 or -1.
     """
     n = len(signs)
     total = sum(map(len, endpoints))
-    # located[2 * idx + is_head] is c * total + p for the endpoint at (c, p).
-    # An is_head that is not a bool fills no slot, so its arrow lacks an end.
-    located: list = [None] * (2 * n)
-    for c, circle in enumerate(endpoints):
-        for key, (idx, is_head) in enumerate(circle, c * total):
+    # met[2 * idx + is_head] flags the endpoints seen so far.  An is_head
+    # that is not a bool flags no slot, so its arrow lacks an end.
+    met = [False] * (2 * n)
+    for circle in endpoints:
+        for idx, is_head in circle:
             if not 0 <= idx < n:
                 raise ValueError(f"endpoint references arrow {idx}, out of range")
             if is_head in (False, True):
                 slot = 2 * idx + 1 if is_head else 2 * idx
-                if located[slot] is not None:
+                if met[slot]:
                     kind = "head" if is_head else "tail"
                     raise ValueError(f"arrow {idx} has two {kind} endpoints")
-                located[slot] = key
+                met[slot] = True
     if total != 2 * n:
         raise ValueError(f"{total} endpoints for {n} arrows; need exactly two each")
-    for i, (sign, tail, head) in enumerate(zip(signs, located[::2], located[1::2])):
+    for i, (sign, tail, head) in enumerate(zip(signs, met[::2], met[1::2])):
         if sign not in (-1, 1):
             raise ValueError(f"arrow {i} has sign {sign}, expected +1 or -1")
-        if (
-            tail is None
-            or head is None
-            or arrows is not None
-            and (divmod(tail, total), divmod(head, total)) != (arrows[i].tail, arrows[i].head)
-        ):
+        if not (tail and head):
             raise ValueError(f"arrow {i} endpoints disagree with the circle data")
-
-
-def _derive_arrows(endpoints, signs) -> tuple[Arrow, ...]:
-    tails: list = [None] * len(signs)
-    heads: list = [None] * len(signs)
-    for c, circle in enumerate(endpoints):
-        for p, (idx, is_head) in enumerate(circle):
-            (heads if is_head else tails)[idx] = (c, p)
-    return tuple(map(Arrow, tails, heads, signs))
 
 
 def from_braid_closure(w: BraidWord) -> GaussDiagram:
@@ -207,7 +141,7 @@ def from_braid_closure(w: BraidWord) -> GaussDiagram:
             after[p], p = -1, after[p]
         circles.append(tuple(seq))
     signs = tuple(1 if letter > 0 else -1 for letter in w.letters)
-    return GaussDiagram._from_parts(tuple(circles), signs)
+    return GaussDiagram(tuple(circles), signs)
 
 
 def writhe(g: GaussDiagram) -> int:
@@ -228,7 +162,7 @@ def delete_arrows(g: GaussDiagram, which: Iterable[int]) -> GaussDiagram:
         for circle in g.endpoints
     )
     signs = tuple(g.signs[old] for old in kept)
-    return GaussDiagram._from_parts(circles, signs)
+    return GaussDiagram(circles, signs)
 
 
 def gap_count(g: GaussDiagram) -> int:
@@ -250,9 +184,7 @@ def rebase(g: GaussDiagram, gap: int) -> GaussDiagram:
     if gap == 0:
         return g
     circle = g.endpoints[0]
-    return GaussDiagram._from_parts(
-        (circle[gap:] + circle[:gap],) + g.endpoints[1:], g.signs
-    )
+    return GaussDiagram((circle[gap:] + circle[:gap],) + g.endpoints[1:], g.signs)
 
 
 def canonical_code(g: GaussDiagram) -> str:

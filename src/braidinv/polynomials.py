@@ -335,8 +335,10 @@ class ConwayPolynomial(LaurentPolynomial):
 
     Built from coefficients indexed by the power of z.  All arithmetic is
     LaurentPolynomial's, on the same dense storage, and its results are
-    Conway polynomials again.  A Conway polynomial never mixes with a
-    LaurentPolynomial or an int: `==` is False and `+` a TypeError.
+    Conway polynomials again; a shift, mirror image or quotient that would
+    reach a negative power of z raises ValueError instead.  A Conway
+    polynomial never mixes with a LaurentPolynomial or an int: `==` is False
+    and `+` a TypeError.
     """
 
     __slots__ = ()
@@ -354,7 +356,17 @@ class ConwayPolynomial(LaurentPolynomial):
         return self._low + len(self._coeffs) - 1
 
     def times_z(self) -> "ConwayPolynomial":
-        return self.shifted(1)
+        # A positive shift cannot reach a negative power, so skip the check.
+        return LaurentPolynomial.shifted(self, 1)
+
+    def shifted(self, offset: int) -> "ConwayPolynomial":
+        return _in_z(super().shifted(offset))
+
+    def mirror(self) -> "ConwayPolynomial":
+        return _in_z(super().mirror())
+
+    def exact_div(self, divisor: "ConwayPolynomial") -> "ConwayPolynomial":
+        return _in_z(super().exact_div(divisor))
 
     def to_alexander(self) -> LaurentPolynomial:
         """Substitute z^2 = t - 2 + 1/t; defined when odd powers are absent."""
@@ -373,6 +385,12 @@ class ConwayPolynomial(LaurentPolynomial):
 
     def __repr__(self):
         return f"ConwayPolynomial({self.coefficients!r})"
+
+
+def _in_z(p: ConwayPolynomial) -> ConwayPolynomial:
+    if p._low < 0:
+        raise ValueError("a Conway polynomial has no negative powers of z")
+    return p
 
 
 def _identity(size: int) -> list[list[LaurentPolynomial]]:

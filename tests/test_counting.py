@@ -12,6 +12,7 @@ from braidinv import (
     CalibrationError,
     HEAD_FIRST,
     TAIL_FIRST,
+    alexander_of_closure,
     calibrate_pattern,
     arf_of_braid_closure,
     c2_of_braid_closure,
@@ -31,13 +32,16 @@ FAMILY = BraidWord((1, -2), 3)
 
 def pair_count(g, pattern):
     """Test oracle: the signed pattern count by checking every pair of arrows."""
+    tails, heads = {}, {}
+    for p, (idx, is_head) in enumerate(g.endpoints[0]):
+        (heads if is_head else tails)[idx] = p
     spans = []
-    for arrow in g.arrows:
-        t, h = arrow.tail[1], arrow.head[1]
+    for i, sign in enumerate(g.signs):
+        t, h = tails[i], heads[i]
         if t < h:
-            spans.append((t, h, TAIL_FIRST, arrow.sign))
+            spans.append((t, h, TAIL_FIRST, sign))
         else:
-            spans.append((h, t, HEAD_FIRST, arrow.sign))
+            spans.append((h, t, HEAD_FIRST, sign))
     signed = 0
     for i in range(len(spans)):
         ai, bi, di, si = spans[i]
@@ -144,14 +148,14 @@ def test_uncalibrated_patterns_vary_with_base_point():
 
 
 @st.composite
-def knot_words(draw):
-    """Words of up to 40 letters on 2-6 strands, closed up to a knot.
+def knot_words(draw, strands=(2, 6), max_letters=40):
+    """Words of up to `max_letters` letters on the given range of strands, closed up to a knot.
 
     Appending a generator at positions in two different circles joins them,
     so after step i the positions 1..i+1 lie on one circle.
     """
-    strands = draw(st.integers(2, 6))
-    size = draw(st.integers(0, 40 - (strands - 1)))
+    strands = draw(st.integers(*strands))
+    size = draw(st.integers(0, max_letters - (strands - 1)))
     letters = draw(
         st.lists(
             st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
@@ -186,3 +190,51 @@ def test_count_pattern_matches_the_pair_oracle_on_the_family():
             based = rebase(g, gap)
             for pattern in ALL_PATTERNS:
                 assert count_pattern(based, pattern).signed == pair_count(based, pattern)
+
+
+def _inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def _gauss_route(w):
+    return count_pattern(from_braid_closure(w), C2_PATTERN).signed, alexander_of_closure(w)
+
+
+MOVES = ("braid relation", "far commutation", "conjugation", "stabilization")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    knot_words(strands=(3, 5), max_letters=20),
+    st.lists(st.sampled_from(MOVES), min_size=1, max_size=3),
+    st.data(),
+)
+def test_gauss_route_is_invariant_under_braid_and_markov_moves(w, moves, data):
+    # A braid relation or far commutation X = Y goes in as a . Y . X^-1 . b,
+    # which is a . b in the braid group only through that relation; the
+    # Gauss diagram keeps every letter as an arrow, so nothing cancels there.
+    expected = _gauss_route(w)
+    for move in moves:
+        k, letters = w.strands, w.letters
+        if move == "far commutation" and k < 4:
+            continue
+        if move in ("braid relation", "far commutation"):
+            if move == "braid relation":
+                e = data.draw(st.sampled_from((1, -1)))
+                i = data.draw(st.integers(1, k - 2))
+                x, y = (e * i, e * (i + 1), e * i), (e * (i + 1), e * i, e * (i + 1))
+            else:
+                i = data.draw(st.integers(1, k - 3))
+                j = data.draw(st.integers(i + 2, k - 1))
+                x = tuple(g * data.draw(st.sampled_from((1, -1))) for g in (i, j))
+                y = x[::-1]
+            if data.draw(st.booleans()):
+                x, y = y, x
+            p = data.draw(st.integers(0, len(letters)))
+            w = BraidWord(letters[:p] + y + _inverse(x) + letters[p:], k)
+        elif move == "conjugation":
+            g = data.draw(st.integers(1, k - 1)) * data.draw(st.sampled_from((1, -1)))
+            w = BraidWord((g,) + letters + (-g,), k)
+        else:
+            w = BraidWord(letters + (k * data.draw(st.sampled_from((1, -1))),), k + 1)
+        assert _gauss_route(w) == expected, (move, w)

@@ -174,6 +174,25 @@ def test_conway_polynomial_arithmetic():
     assert p * ConwayPolynomial() == ConwayPolynomial()
 
 
+def test_conway_polynomials_refuse_negative_powers_of_z():
+    z = ConwayPolynomial((0, 1))
+    message = "^a Conway polynomial has no negative powers of z$"
+    with pytest.raises(ValueError, match=message):
+        z.shifted(-3)
+    with pytest.raises(ValueError, match=message):
+        ConwayPolynomial((1, 0, -2)).mirror()
+    with pytest.raises(ValueError, match=message):
+        z.exact_div(ConwayPolynomial((0, 0, 1)))
+    with pytest.raises(ValueError, match=message):
+        z // ConwayPolynomial((0, 0, 1))
+    shifted = z.shifted(1)
+    assert type(shifted) is ConwayPolynomial and shifted.coefficients == (0, 0, 1)
+    quotient = ConwayPolynomial((0, 1, 0, -1)).exact_div(z)
+    assert type(quotient) is ConwayPolynomial and quotient.coefficients == (1, 0, -1)
+    assert ConwayPolynomial((0, 0, 3)).shifted(-2) == ConwayPolynomial((3,))
+    assert ConwayPolynomial((5,)).mirror() == ConwayPolynomial((5,))
+
+
 class TupleConway:
     """Test oracle: a Conway polynomial as a tuple indexed by the power of z."""
 
