@@ -2,14 +2,16 @@
 
 Two independent routes are implemented.  The primary one builds the reduced
 Burau matrix of the word over Z[t, 1/t] one column update per letter, takes
-det(M - I) by fraction-free elimination, strips the exact factor
-1 + t + ... + t^(k-1), and normalizes by a unit to the palindromic
-representative with value 1 at t = 1; a Clenshaw sum in z^2 = t - 2 + 1/t
-turns that into the Conway polynomial.  The secondary route multiplies the
-word out in the Hecke algebra over Z[z], where the Conway skein relation
-reads g - 1/g = z, and takes the Conway trace of the product; it never sees
-a matrix or a Gauss diagram.  Both routes use exact integer arithmetic
-throughout.
+det(M - I), strips the exact factor 1 + t + ... + t^(k-1), and normalizes
+by a unit to the palindromic representative with value 1 at t = 1.  On 3
+strands det(M - I) is det M - tr M + 1 in closed form, det M being the
+signed monomial (-1)^L t^e of a word of L letters and exponent sum e; any
+other strand count takes it by fraction-free elimination.  A Clenshaw sum
+in z^2 = t - 2 + 1/t turns the Alexander polynomial into the Conway
+polynomial.  The secondary route multiplies the word out in the Hecke
+algebra over Z[z], where the Conway skein relation reads g - 1/g = z, and
+takes the Conway trace of the product; it never sees a matrix or a Gauss
+diagram.  Both routes use exact integer arithmetic throughout.
 
 A Laurent polynomial is dense: its lowest exponent and a list of integer
 coefficients.  Sums, shifts, evaluation and exact division are single
@@ -293,7 +295,15 @@ class LaurentPolynomial:
         return total
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient; raises ValueError when a remainder is left."""
+        """Exact quotient; raises ValueError when a remainder is left.
+
+        The divisor must be of this polynomial's class, as for `//`.
+        """
+        if divisor.__class__ is not self.__class__:
+            raise TypeError(
+                "unsupported operand type(s) for exact_div:"
+                f" {type(self).__name__!r} and {type(divisor).__name__!r}"
+            )
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -414,15 +424,24 @@ def reduced_burau(w: BraidWord):
     m = _identity(size)
     for letter in w.letters:
         j = abs(letter) - 1
+        last = j + 1 == size
+        # A missing neighbour column is zero, and it is never made the
+        # minuend: that would copy and negate the whole column.
         for row in m:
-            left = row[j - 1] if j else zero
-            right = row[j + 1] if j + 1 < size else zero
             if letter > 0:
                 # s_i:    t col(i-2) - t col(i-1) + col(i)
-                row[j] = (left - row[j]).shifted(1) + right
+                right = zero if last else row[j + 1]
+                if j:
+                    row[j] = (row[j - 1] - row[j]).shifted(1) + right
+                else:
+                    row[j] = right - row[j].shifted(1)
             else:
                 # s_i^-1: col(i-2) - t^-1 col(i-1) + t^-1 col(i)
-                row[j] = left + (right - row[j]).shifted(-1)
+                left = row[j - 1] if j else zero
+                if last:
+                    row[j] = left - row[j].shifted(-1)
+                else:
+                    row[j] = left + (row[j + 1] - row[j]).shifted(-1)
     return tuple(tuple(row) for row in m)
 
 
@@ -443,18 +462,35 @@ def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
     return p
 
 
+def _det_minus_identity(w: BraidWord, m) -> LaurentPolynomial:
+    # det(M - I) for the reduced Burau matrix M of w.  On 3 strands this is
+    # det M - (M00 + M11) + 1 with det M = (-1)^L t^e for L letters of
+    # exponent sum e, since each generator matrix has determinant -t and
+    # each inverse -1/t; other strand counts take the Bareiss determinant.
+    if w.strands == 3:
+        letters = w.letters
+        exponent_sum = 2 * sum(letter > 0 for letter in letters) - len(letters)
+        det_m = _laurent(LaurentPolynomial, exponent_sum, [-1 if len(letters) % 2 else 1])
+        return det_m - (m[0][0] + m[1][1]) + 1
+    return determinant_fraction_free(
+        [[entry - 1 if i == j else entry for j, entry in enumerate(row)]
+         for i, row in enumerate(m)]
+    )
+
+
 def alexander_of_closure(w: BraidWord) -> LaurentPolynomial:
-    """Alexander polynomial of the closure knot, palindromic with value 1 at t=1."""
+    """Alexander polynomial of the closure knot, palindromic with value 1 at t=1.
+
+    det(B - I) of the reduced Burau matrix B is taken in closed form on 3
+    strands and by fraction-free elimination on any other count; it is then
+    divided exactly by 1 + t + ... + t^(k-1) and normalized by a unit.
+    """
     components = closure_components(w)
     if components != 1:
         raise ValueError(f"closure has {components} components, not a knot")
     if w.strands == 1:
         return LaurentPolynomial({0: 1})
-    shifted = [
-        [entry - 1 if i == j else entry for j, entry in enumerate(row)]
-        for i, row in enumerate(reduced_burau(w))
-    ]
-    det = determinant_fraction_free(shifted)
+    det = _det_minus_identity(w, reduced_burau(w))
     ladder = LaurentPolynomial({e: 1 for e in range(w.strands)})
     try:
         quotient = det.exact_div(ladder)

@@ -1,10 +1,11 @@
+import itertools
 import random
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidinv import (
@@ -20,6 +21,8 @@ from braidinv import (
     conway_of_closure,
     conway_skein,
     determinant,
+    determinant_fraction_free,
+    lucas,
     mirror,
     power,
     reduced_burau,
@@ -106,6 +109,23 @@ def test_laurent_exact_div():
         (T + 1).exact_div(ladder)
     with pytest.raises(ZeroDivisionError):
         T.exact_div(LaurentPolynomial())
+
+
+def test_exact_div_refuses_the_other_class():
+    for p, q in (
+        (ConwayPolynomial((0, 2)), LaurentPolynomial({0: 2})),
+        (LaurentPolynomial({1: 2}), ConwayPolynomial((2,))),
+    ):
+        with pytest.raises(TypeError):
+            p // q
+        with pytest.raises(TypeError):
+            p.exact_div(q)
+    # Division within one class still serves the ladder and Bareiss's `//`.
+    ladder = ONE + T + T ** 2
+    assert (ladder * (T.mirror() - 3)).exact_div(ladder) == T.mirror() - 3
+    assert (2 * T) // 2 == T
+    matrix = [[T, ONE, ONE], [ONE, T, ONE], [ONE, ONE, T]]
+    assert determinant_fraction_free(matrix) == (T - 1) ** 2 * (T + 2)
 
 
 def dict_product(p, q):
@@ -391,16 +411,48 @@ def braid_words(draw):
     return BraidWord(tuple(letters), strands)
 
 
+def generator_product(w: BraidWord):
+    """Test oracle: the product of the generator matrices of the word's letters."""
+    size = w.strands - 1
+    product = [[ONE if i == j else LaurentPolynomial() for j in range(size)]
+               for i in range(size)]
+    for letter in w.letters:
+        product = _mat_mul(product, burau_generator(abs(letter), w.strands, letter < 0))
+    return product
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(braid_words())
 def test_reduced_burau_is_the_product_of_generators(w):
-    size = w.strands - 1
-    expected = [[ONE if i == j else LaurentPolynomial() for j in range(size)]
-                for i in range(size)]
-    for letter in w.letters:
-        generator = burau_generator(abs(letter), w.strands, inverted=letter < 0)
-        expected = _mat_mul(expected, generator)
-    assert reduced_burau(w) == tuple(tuple(row) for row in expected)
+    assert reduced_burau(w) == tuple(map(tuple, generator_product(w)))
+
+
+def test_burau_generator_products_have_determinant_a_signed_monomial():
+    # Each generator matrix has determinant -t and each inverse -1/t, so a
+    # word of L letters and exponent sum e gives (-1)^L t^e; the 3-strand
+    # closed form of det(B - I) rests on this sign convention.
+    rng = random.Random(11)
+    for strands in (2, 3, 4):
+        for length in range(9):
+            letters = tuple(
+                rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
+            )
+            exponent_sum = sum(1 if letter > 0 else -1 for letter in letters)
+            expected = LaurentPolynomial({exponent_sum: (-1) ** length})
+            product = generator_product(BraidWord(letters, strands))
+            assert determinant_fraction_free(product) == expected, (strands, letters)
+
+
+def test_reduced_burau_on_the_boundary_columns():
+    # sigma_1 updates the first column and sigma_(k-1)^-1 the last, where a
+    # neighbour column is missing; every short word of those letters and
+    # their inverses, against the product of generator matrices.
+    for strands in (2, 3, 4):
+        alphabet = sorted({1, -1, strands - 1, 1 - strands})
+        for length in range(5):
+            for letters in itertools.product(alphabet, repeat=length):
+                w = BraidWord(letters, strands)
+                assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), w
 
 
 def test_reduced_burau_respects_braid_relations():
@@ -463,6 +515,34 @@ def test_alexander_on_wide_knots():
         assert p.is_palindromic()
         assert p.evaluate(1) == 1
         assert braid_invariants(w)["oracle_match"]
+
+
+def closed_form_and_bareiss(w: BraidWord):
+    """det(B - I) of the word's reduced Burau matrix B, by the library's 3-strand
+    closed form and by Bareiss elimination."""
+    m = reduced_burau(w)
+    shifted = [[e - 1 if i == j else e for j, e in enumerate(row)] for i, row in enumerate(m)]
+    return polynomials._det_minus_identity(w, m), determinant_fraction_free(shifted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30))
+@example(())  # exponent sum 0 in each of these three
+@example([1, -1])
+@example([1, -2, 2, -1])
+@example([1, -2] * 3)  # a 3-component link
+@example([1, -2] * 14)  # a knot, family^14
+def test_three_strand_closed_form_matches_bareiss(letters):
+    closed_form, bareiss = closed_form_and_bareiss(BraidWord(tuple(letters), 3))
+    assert closed_form == bareiss
+
+
+def test_alexander_on_the_family_gives_the_lucas_determinant():
+    # At t = -1 the family's Alexander polynomial is +-(L(2n) - 2).
+    for n in range(1, 61):
+        if n % 3:
+            value = alexander_of_closure(power(FAMILY, n)).evaluate(-1)
+            assert abs(value) == lucas(2 * n) - 2, n
 
 
 def test_alexander_rejects_links():
