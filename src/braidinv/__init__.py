@@ -11,12 +11,9 @@ CLI checks these against each other and against Lucas-number identities.
 from .braids import (
     BraidParseError,
     BraidWord,
-    Permutation,
     closure_components,
-    inverse,
     mirror,
     parse_braid_word,
-    permutation,
     power,
 )
 from .counting import (
@@ -85,7 +82,6 @@ __all__ = [
     "HEAD_FIRST",
     "LaurentPolynomial",
     "PatternCount",
-    "Permutation",
     "SkeinLimitError",
     "TAIL_FIRST",
     "WheelGraph",
@@ -108,14 +104,12 @@ __all__ = [
     "determinant_fraction_free",
     "from_braid_closure",
     "gap_count",
-    "inverse",
     "is_perfect_square",
     "isomorphic_unbased",
     "laplacian",
     "lucas",
     "mirror",
     "parse_braid_word",
-    "permutation",
     "power",
     "rebase",
     "reduced_burau",

@@ -1,9 +1,14 @@
-"""Braid words in the Artin generators and the permutations of their closures.
+"""Braid words in the Artin generators and the circles of their closures.
 
 Letters are nonzero integers: +i crosses the strands in positions i and i+1
 with the strand arriving in position i+1 passing over the one in position i,
 and -i is the inverse crossing (the position-i strand on top).  Words act top
 to bottom, letters left to right.  All values are immutable.
+
+The closure's strand permutation is kept as one 0-based list, `top`, where
+top[c] is the top position of the strand leaving the bottom of position c.
+One private helper joins it into circles; closure_components counts them and
+gauss.from_braid_closure strings each circle's crossings along them.
 """
 
 import dataclasses
@@ -11,12 +16,9 @@ import dataclasses
 __all__ = [
     "BraidParseError",
     "BraidWord",
-    "Permutation",
     "closure_components",
-    "inverse",
     "mirror",
     "parse_braid_word",
-    "permutation",
     "power",
 ]
 
@@ -52,35 +54,6 @@ class BraidWord:
 
     def __str__(self) -> str:
         return " ".join(str(letter) for letter in self.letters)
-
-
-@dataclasses.dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..k}, stored as the tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(self.images)}: {self.images}")
-
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(tuple(range(1, k + 1)))
-
-    def cycle_count(self) -> int:
-        seen = [False] * len(self.images)
-        count = 0
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            count += 1
-            point = start
-            while not seen[point]:
-                seen[point] = True
-                point = self.images[point] - 1
-        return count
 
 
 def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:
@@ -134,29 +107,40 @@ def power(w: BraidWord, n: int) -> BraidWord:
     return BraidWord(w.letters * n if w.letters else (), w.strands)
 
 
-def inverse(w: BraidWord) -> BraidWord:
-    """Reversed word with every letter negated."""
-    return BraidWord(tuple(-letter for letter in reversed(w.letters)), w.strands)
-
-
 def mirror(w: BraidWord) -> BraidWord:
     """Every letter negated in place; the closure becomes its mirror image."""
     return BraidWord(tuple(-letter for letter in w.letters), w.strands)
 
 
-def permutation(w: BraidWord) -> Permutation:
-    """Strand permutation of the braid: top position to bottom position."""
-    # col_to_strand[c-1] holds the strand currently occupying position c.
-    col_to_strand = list(range(1, w.strands + 1))
-    for letter in w.letters:
-        i = abs(letter)
-        col_to_strand[i - 1], col_to_strand[i] = col_to_strand[i], col_to_strand[i - 1]
-    images = [0] * w.strands
-    for col, strand in enumerate(col_to_strand, start=1):
-        images[strand - 1] = col
-    return Permutation(tuple(images))
+def _closure_cycles(top: list[int]) -> list[list[int]]:
+    """The circles of the closure, each as its top positions in walk order.
+
+    The strand leaving the bottom of position c goes on from the top of c.
+    Each circle starts at the lowest top position not yet on a circle, so
+    the walk is O(k) for k strands.
+    """
+    # after[p] is the position where the strand from the top of p leaves the
+    # bottom, or -1 once p is on a circle.
+    after = [0] * len(top)
+    for c, start in enumerate(top):
+        after[start] = c
+    cycles = []
+    for start in range(len(top)):
+        if after[start] < 0:
+            continue
+        p, cycle = start, []
+        while after[p] >= 0:
+            cycle.append(p)
+            after[p], p = -1, after[p]
+        cycles.append(cycle)
+    return cycles
 
 
 def closure_components(w: BraidWord) -> int:
     """Number of circles in the closure of `w` (a knot exactly when this is 1)."""
-    return permutation(w).cycle_count()
+    # top[c] is the top position (0-based) of the strand now in position c.
+    top = list(range(w.strands))
+    for letter in w.letters:
+        i = abs(letter)
+        top[i - 1], top[i] = top[i], top[i - 1]
+    return len(_closure_cycles(top))

@@ -115,14 +115,14 @@ class _KnotRecord:
 
 
 def _knot_record(w: BraidWord) -> _KnotRecord:
-    """Check that `w` closes to a knot, then run the Gauss and the Burau route once each.
+    """Build the Gauss diagram, refuse a link by its circle count, then run the Burau route.
 
     Raises ValueError when the closure is not a knot.
     """
-    components = closure_components(w)
+    diagram = from_braid_closure(w)
+    components = diagram.circle_count
     if components != 1:
         raise ValueError(f"closure has {components} components; invariants need a knot")
-    diagram = from_braid_closure(w)
     alexander = alexander_of_closure(w)
     return _KnotRecord(
         c2=count_pattern(diagram, C2_PATTERN).signed,

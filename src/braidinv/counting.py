@@ -23,7 +23,7 @@ import dataclasses
 import warnings
 from collections.abc import Sequence
 
-from .braids import BraidWord, closure_components
+from .braids import BraidWord
 from .gauss import GaussDiagram, from_braid_closure, gap_count, rebase
 
 __all__ = [
@@ -160,9 +160,10 @@ def calibrate_pattern(corpus: Sequence[tuple[BraidWord, int]]) -> ArrowPattern:
     """
     diagrams = []
     for word, expected in corpus:
-        if closure_components(word) != 1:
+        diagram = from_braid_closure(word)
+        if diagram.circle_count != 1:
             raise ValueError(f"calibration word '{word}' does not close to a knot")
-        diagrams.append((from_braid_closure(word), expected))
+        diagrams.append((diagram, expected))
     survivors = []
     for pattern in ALL_PATTERNS:
         ok = True
@@ -189,10 +190,10 @@ def calibrate_pattern(corpus: Sequence[tuple[BraidWord, int]]) -> ArrowPattern:
 
 def c2_of_braid_closure(w: BraidWord) -> int:
     """Degree-2 Conway coefficient of the closure knot, by signed pattern count."""
-    components = closure_components(w)
-    if components != 1:
-        raise ValueError(f"closure has {components} components, not a knot")
-    return count_pattern(from_braid_closure(w), C2_PATTERN).signed
+    diagram = from_braid_closure(w)
+    if diagram.circle_count != 1:
+        raise ValueError(f"closure has {diagram.circle_count} components, not a knot")
+    return count_pattern(diagram, C2_PATTERN).signed
 
 
 def arf_of_braid_closure(w: BraidWord) -> int:

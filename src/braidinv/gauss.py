@@ -4,7 +4,9 @@ The closure is traversed starting at the top of position 1: walk down the
 braid, swapping position at every crossing the strand enters, and follow the
 closure arc from the bottom of each position back to its top; when the walk
 returns to its starting point one circle is complete, and the next circle
-starts at the lowest unvisited top position.  Every crossing becomes one
+starts at the lowest unvisited top position.  The circles come from the
+cycle join in `braids` that closure_components counts, so a diagram's
+circle count is the closure's component count.  Every crossing becomes one
 arrow pointing from its over-passage to its under-passage and carrying the
 crossing sign.  The base point sits in the gap just before the first
 endpoint met on circle 0, so position 0 is immediately after it.
@@ -23,7 +25,7 @@ across releases and appear as golden values in the test suite.
 import dataclasses
 from collections.abc import Iterable
 
-from .braids import BraidWord
+from .braids import BraidWord, _closure_cycles
 
 __all__ = [
     "EMPTY_CODE",
@@ -114,8 +116,9 @@ def from_braid_closure(w: BraidWord) -> GaussDiagram:
     For letter +i the strand in position i+1 is the overpass (arrow tail) and
     the sign is +1; for letter -i the strand in position i is the overpass
     and the sign is -1.  One walk down the word records the run of endpoints
-    each strand meets, keyed by its top position; the closure then joins the
-    runs into circles, in O(L + k) for L letters on k strands.
+    each strand meets, keyed by its top position; each circle of the
+    closure, as joined in `braids`, then strings its runs together, in
+    O(L + k) for L letters on k strands.
     """
     runs: list[list[tuple[int, bool]]] = [[] for _ in range(w.strands)]
     # top[c] is the top position (0-based) of the strand now in position c.
@@ -126,22 +129,14 @@ def from_braid_closure(w: BraidWord) -> GaussDiagram:
         runs[left].append((j, letter > 0))
         runs[right].append((j, letter < 0))
         top[i - 1], top[i] = right, left
-    # The strand leaving the bottom of position c goes on from the top of c;
-    # a run already joined to a circle has its successor set to -1.
-    after = [0] * w.strands
-    for c, start in enumerate(top):
-        after[start] = c
     circles = []
-    for start in range(w.strands):
-        if after[start] < 0:
-            continue
-        p, seq = start, []
-        while after[p] >= 0:
+    for cycle in _closure_cycles(top):
+        seq = []
+        for p in cycle:
             seq += runs[p]
-            after[p], p = -1, after[p]
-        circles.append(tuple(seq))
-    signs = tuple(1 if letter > 0 else -1 for letter in w.letters)
-    return GaussDiagram(tuple(circles), signs)
+        circles.append(seq)
+    # The constructor turns these lists into tuples.
+    return GaussDiagram(circles, [1 if letter > 0 else -1 for letter in w.letters])
 
 
 def writhe(g: GaussDiagram) -> int:

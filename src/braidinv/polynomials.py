@@ -161,10 +161,6 @@ class LaurentPolynomial:
         self._low = low
         self._coeffs = dense
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return _trimmed(cls, exponent, [coefficient])
-
     def coefficient(self, exponent: int) -> int:
         index = exponent - self._low
         if 0 <= index < len(self._coeffs):
@@ -257,6 +253,9 @@ class LaurentPolynomial:
         return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self):
+        # A plain constant equals the int it holds, so it hashes as that int.
+        if self.__class__ is LaurentPolynomial and self._low == 0 and len(self._coeffs) < 2:
+            return hash(self._coeffs[0] if self._coeffs else 0)
         return hash(self.terms())
 
     def __bool__(self):

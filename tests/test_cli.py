@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from braidinv import BraidWord, closure_components, from_braid_closure
-from braidinv import cli, counting, polynomials
+import braidinv
+from braidinv import braids, cli, counting, gauss, polynomials, sequences
 from braidinv.cli import (
     MAX_INVARIANT_LETTERS,
     MAX_INVARIANT_STRANDS,
@@ -439,6 +440,18 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1].startswith("2,")
+
+
+def test_package_exports_exactly_the_layer_names():
+    # A name deleted from a layer must not linger in the package's re-export.
+    layers = (braids, gauss, counting, polynomials, sequences)
+    expected = {name for module in layers for name in module.__all__} | {"__version__"}
+    assert len(braidinv.__all__) == len(set(braidinv.__all__))
+    assert set(braidinv.__all__) == expected
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(braidinv, name) is getattr(module, name)
+    assert isinstance(braidinv.__version__, str)
 
 
 def test_cli_survives_closed_pipe():

@@ -111,8 +111,13 @@ def test_arf_is_mirror_invariant():
 
 
 def test_c2_requires_knot():
-    with pytest.raises(ValueError):
-        c2_of_braid_closure(BraidWord((1,), 3))
+    link = BraidWord((1,), 3)
+    for route in (c2_of_braid_closure, arf_of_braid_closure):
+        with pytest.raises(ValueError, match="^closure has 2 components, not a knot$"):
+            route(link)
+    corpus = default_calibration_corpus() + [(link, 0)]
+    with pytest.raises(ValueError, match="^calibration word '1' does not close to a knot$"):
+        calibrate_pattern(corpus)
 
 
 def test_count_is_base_point_invariant():

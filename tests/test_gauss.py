@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import re
@@ -60,8 +61,32 @@ def test_writhe_of_family_powers():
 
 
 def test_circle_count_matches_components():
+    # closure_components and from_braid_closure share one cycle join; the
+    # strand-by-strand scan shares no code with it.
+    def every_short_word():
+        for k in (2, 3, 4):
+            alphabet = [g for i in range(1, k) for g in (i, -i)]
+            for n in range(7):
+                for letters in itertools.product(alphabet, repeat=n):
+                    yield BraidWord(letters, k)
+
+    def random_wide_words(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            k = rng.randint(2, 64)
+            alphabet = [g for i in range(1, k) for g in (i, -i)]
+            yield BraidWord(
+                tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4 * k))), k
+            )
+
     assert from_braid_closure(power(FAMILY, 3)).circle_count == 3
     assert from_braid_closure(BraidWord((1,), 3)).circle_count == 2
+    for w in itertools.chain(every_short_word(), random_wide_words(2016, 150)):
+        assert (
+            closure_components(w)
+            == len(scanned_circles(w))
+            == from_braid_closure(w).circle_count
+        )
 
 
 def test_arrow_count_matches_word_length():
@@ -135,8 +160,6 @@ def test_delete_arrows():
 
 
 def test_delete_arrows_is_order_independent():
-    import itertools
-
     def sequential_delete(g, order):
         pending = list(order)
         while pending:

@@ -34,7 +34,7 @@ from braidinv.cli import braid_invariants
 FAMILY = BraidWord((1, -2), 3)
 TREFOIL = BraidWord((1, 1, 1), 2)
 
-T = LaurentPolynomial.monomial(1)
+T = LaurentPolynomial({1: 1})
 ONE = LaurentPolynomial({0: 1})
 
 
@@ -42,6 +42,17 @@ def test_laurent_construction_merges_terms():
     p = LaurentPolynomial([(1, 2), (1, -2), (0, 3)])
     assert p == LaurentPolynomial({0: 3})
     assert LaurentPolynomial().is_zero()
+
+
+def test_laurent_constants_hash_as_the_ints_they_equal():
+    # Equal objects must hash alike, so sets and dicts find either one.
+    for value in (0, 1, -7, 2**80):
+        p = LaurentPolynomial({0: value})
+        assert p == value and hash(p) == hash(value)
+        assert value in {p} and p in {value}
+        assert {p: "p"}[value] == "p" and {value: "v"}[p] == "v"
+    assert T + 1 not in {1, T} and T in {LaurentPolynomial({1: 1})}
+    assert hash(ConwayPolynomial((1,))) == hash(ConwayPolynomial((1,)))
 
 
 def test_laurent_arithmetic():
@@ -546,9 +557,9 @@ def test_alexander_on_the_family_gives_the_lucas_determinant():
 
 
 def test_alexander_rejects_links():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^closure has 2 components, not a knot$"):
         alexander_of_closure(BraidWord((1,), 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^closure has 3 components, not a knot$"):
         alexander_of_closure(power(FAMILY, 3))
 
 
