@@ -8,113 +8,18 @@ in the Hecke algebra gives the Conway polynomial once more.  A verification
 CLI checks these against each other and against Lucas-number identities.
 """
 
-from .braids import (
-    BraidParseError,
-    BraidWord,
-    closure_components,
-    mirror,
-    parse_braid_word,
-    power,
-)
-from .counting import (
-    ALL_PATTERNS,
-    ArrowPattern,
-    C2_PATTERN,
-    CalibrationError,
-    HEAD_FIRST,
-    PatternCount,
-    TAIL_FIRST,
-    arf_of_braid_closure,
-    c2_of_braid_closure,
-    calibrate_pattern,
-    count_pattern,
-    default_calibration_corpus,
-)
-from .gauss import (
-    EMPTY_CODE,
-    GaussDiagram,
-    canonical_code,
-    delete_arrows,
-    from_braid_closure,
-    gap_count,
-    isomorphic_unbased,
-    rebase,
-    writhe,
-)
-from .polynomials import (
-    ConwayPolynomial,
-    LaurentPolynomial,
-    SkeinLimitError,
-    alexander_of_closure,
-    arf_oracle,
-    c2_oracle,
-    conway_from_alexander,
-    conway_of_closure,
-    conway_skein,
-    determinant,
-    reduced_burau,
-)
-from .sequences import (
-    EnumerationLimitError,
-    WheelGraph,
-    determinant_fraction_free,
-    is_perfect_square,
-    laplacian,
-    lucas,
-    residue_mod8,
-    spanning_trees_bruteforce,
-    wheel_spanning_trees,
-)
+from . import braids, counting, gauss, polynomials, sequences
+from .braids import *
+from .counting import *
+from .gauss import *
+from .polynomials import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_PATTERNS",
-    "ArrowPattern",
-    "BraidParseError",
-    "BraidWord",
-    "C2_PATTERN",
-    "CalibrationError",
-    "ConwayPolynomial",
-    "EMPTY_CODE",
-    "EnumerationLimitError",
-    "GaussDiagram",
-    "HEAD_FIRST",
-    "LaurentPolynomial",
-    "PatternCount",
-    "SkeinLimitError",
-    "TAIL_FIRST",
-    "WheelGraph",
-    "__version__",
-    "alexander_of_closure",
-    "arf_of_braid_closure",
-    "arf_oracle",
-    "c2_of_braid_closure",
-    "c2_oracle",
-    "calibrate_pattern",
-    "canonical_code",
-    "closure_components",
-    "conway_from_alexander",
-    "conway_of_closure",
-    "conway_skein",
-    "count_pattern",
-    "default_calibration_corpus",
-    "delete_arrows",
-    "determinant",
-    "determinant_fraction_free",
-    "from_braid_closure",
-    "gap_count",
-    "is_perfect_square",
-    "isomorphic_unbased",
-    "laplacian",
-    "lucas",
-    "mirror",
-    "parse_braid_word",
-    "power",
-    "rebase",
-    "reduced_burau",
-    "residue_mod8",
-    "spanning_trees_bruteforce",
-    "wheel_spanning_trees",
-    "writhe",
-]
+__all__ = ["__version__"]
+__all__ += braids.__all__
+__all__ += counting.__all__
+__all__ += gauss.__all__
+__all__ += polynomials.__all__
+__all__ += sequences.__all__

@@ -12,6 +12,7 @@ gauss.from_braid_closure strings each circle's crossings along them.
 """
 
 import dataclasses
+import operator
 
 __all__ = [
     "BraidParseError",
@@ -40,7 +41,10 @@ class BraidWord:
     strands: int
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+        # Through a list, so the tuple is allocated at its exact size: one
+        # grown from a bare map keeps its over-allocated block.
+        object.__setattr__(self, "letters", tuple(list(map(operator.index, self.letters))))
+        object.__setattr__(self, "strands", operator.index(self.strands))
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
         for letter in self.letters:

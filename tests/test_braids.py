@@ -80,6 +80,18 @@ def test_braid_word_validates_letters():
         BraidWord((), 0)
 
 
+def test_braid_word_takes_only_integer_letters_and_strands():
+    # A float or a string fails at construction, not later in the closure
+    # walk; a bool is an integer and becomes a plain int.
+    for letters, strands in (((1.0,), 2), (("1",), 2), ((1,), 2.0), ((1, -2), 3.5)):
+        with pytest.raises(TypeError):
+            BraidWord(letters, strands)
+    w = BraidWord((True,), 2)
+    assert w.letters == (1,)
+    assert type(w.letters[0]) is int
+    assert str(w) == "1"
+
+
 def test_braid_word_str_round_trip():
     w = BraidWord((1, -2, 1), 3)
     assert str(w) == "1 -2 1"

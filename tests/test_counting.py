@@ -17,6 +17,8 @@ from braidinv import (
     arf_of_braid_closure,
     c2_of_braid_closure,
     closure_components,
+    conway_of_closure,
+    conway_skein,
     count_pattern,
     default_calibration_corpus,
     from_braid_closure,
@@ -197,6 +199,15 @@ def test_count_pattern_matches_the_pair_oracle_on_the_family():
                 assert count_pattern(based, pattern).signed == pair_count(based, pattern)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(knot_words(strands=(4, 8), max_letters=20))
+def test_three_routes_agree_on_wide_knots(w):
+    # The acceptance gate's exhaustive agreement covers 2 and 3 strands only.
+    nabla = conway_of_closure(w)
+    assert c2_of_braid_closure(w) == nabla.coefficient(2)
+    assert conway_skein(w, max_letters=len(w)) == nabla
+
+
 def _inverse(letters):
     return tuple(-x for x in reversed(letters))
 
@@ -205,7 +216,7 @@ def _gauss_route(w):
     return count_pattern(from_braid_closure(w), C2_PATTERN).signed, alexander_of_closure(w)
 
 
-MOVES = ("braid relation", "far commutation", "conjugation", "stabilization")
+MOVES = ("braid relation", "far commutation", "conjugation", "stabilization", "mirror")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -218,7 +229,10 @@ def test_gauss_route_is_invariant_under_braid_and_markov_moves(w, moves, data):
     # A braid relation or far commutation X = Y goes in as a . Y . X^-1 . b,
     # which is a . b in the braid group only through that relation; the
     # Gauss diagram keeps every letter as an arrow, so nothing cancels there.
+    # A mirror image keeps c2 and Δ because a knot's ∇ has only even powers
+    # of z; the skein route must give the starting word's Burau ∇ throughout.
     expected = _gauss_route(w)
+    conway = conway_of_closure(w)
     for move in moves:
         k, letters = w.strands, w.letters
         if move == "far commutation" and k < 4:
@@ -240,6 +254,9 @@ def test_gauss_route_is_invariant_under_braid_and_markov_moves(w, moves, data):
         elif move == "conjugation":
             g = data.draw(st.integers(1, k - 1)) * data.draw(st.sampled_from((1, -1)))
             w = BraidWord((g,) + letters + (-g,), k)
+        elif move == "mirror":
+            w = mirror(w)
         else:
             w = BraidWord(letters + (k * data.draw(st.sampled_from((1, -1))),), k + 1)
         assert _gauss_route(w) == expected, (move, w)
+        assert conway_skein(w, max_letters=len(w)) == conway, (move, w)
