@@ -1,7 +1,8 @@
 """Alexander and Conway polynomials of braid closures, exactly.
 
 Two independent routes are implemented.  The primary one builds the reduced
-Burau matrix of the word over Z[t, 1/t] one column update per letter, takes
+Burau matrix of the word over Z[t, 1/t] one column update per letter, each
+column one polynomial with its rows stacked (t = u^(k-1)), takes
 det(M - I), strips the exact factor 1 + t + ... + t^(k-1), and normalizes
 by a unit to the palindromic representative with value 1 at t = 1.  On 3
 strands det(M - I) is det M - tr M + 1 in closed form, det M being the
@@ -402,46 +403,51 @@ def _in_z(p: ConwayPolynomial) -> ConwayPolynomial:
     return p
 
 
-def _identity(size: int) -> list[list[LaurentPolynomial]]:
-    one = LaurentPolynomial({0: 1})
-    zero = LaurentPolynomial()
-    return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
 def reduced_burau(w: BraidWord):
     """Product of reduced Burau generator matrices over the word.
 
-    Right multiplication by the generator of letter +-i changes only column
-    i-1 of the running product, so each letter costs O(k) polynomial
-    operations.  Returns a (k-1) x (k-1) grid of LaurentPolynomial as a tuple
+    Each column of the running product is kept as one LaurentPolynomial in
+    u = t^(1/h), h = k - 1 being the matrix size, with its rows stacked: the
+    t^e term of row r sits at u^(r + h e), so column j of the identity is
+    u^j.  Right multiplication by the generator of letter +-i changes only
+    column i-1, by a sum of columns and their shifts by t^(+-1) = u^(+-h),
+    so a letter costs one or two polynomial operations on a stacked column
+    whatever the strand count.  The rows are read back out of every column
+    at the end.  Returns an h x h grid of LaurentPolynomial in t as a tuple
     of tuples.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
     size = w.strands - 1
     zero = LaurentPolynomial()
-    m = _identity(size)
+    columns = [_laurent(LaurentPolynomial, j, [1]) for j in range(size)]
     for letter in w.letters:
         j = abs(letter) - 1
         last = j + 1 == size
         # A missing neighbour column is zero, and it is never made the
         # minuend: that would copy and negate the whole column.
-        for row in m:
-            if letter > 0:
-                # s_i:    t col(i-2) - t col(i-1) + col(i)
-                right = zero if last else row[j + 1]
-                if j:
-                    row[j] = (row[j - 1] - row[j]).shifted(1) + right
-                else:
-                    row[j] = right - row[j].shifted(1)
+        if letter > 0:
+            # s_i:    t col(i-2) - t col(i-1) + col(i)
+            right = zero if last else columns[j + 1]
+            if j:
+                columns[j] = (columns[j - 1] - columns[j]).shifted(size) + right
             else:
-                # s_i^-1: col(i-2) - t^-1 col(i-1) + t^-1 col(i)
-                left = row[j - 1] if j else zero
-                if last:
-                    row[j] = left - row[j].shifted(-1)
-                else:
-                    row[j] = left + (row[j + 1] - row[j]).shifted(-1)
-    return tuple(tuple(row) for row in m)
+                columns[j] = right - columns[j].shifted(size)
+        else:
+            # s_i^-1: col(i-2) - t^-1 col(i-1) + t^-1 col(i)
+            left = columns[j - 1] if j else zero
+            if last:
+                columns[j] = left - columns[j].shifted(-size)
+            else:
+                columns[j] = left + (columns[j + 1] - columns[j]).shifted(-size)
+    grid = [[zero] * size for _ in range(size)]
+    for j, column in enumerate(columns):
+        low, coeffs = column._low, column._coeffs
+        for r in range(size):
+            # Row r's first term, at u^(low + first) = u^(r + size * e).
+            first = (r - low) % size
+            grid[r][j] = _trimmed(LaurentPolynomial, (low + first) // size, coeffs[first::size])
+    return tuple(map(tuple, grid))
 
 
 def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:

@@ -466,6 +466,33 @@ def test_reduced_burau_on_the_boundary_columns():
                 assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), w
 
 
+@st.composite
+def wide_braid_words(draw):
+    # Letters from a run of adjacent generators only, so that the columns of
+    # the others stay identity columns and most entries stay zero.
+    strands = draw(st.integers(2, 9))
+    first = draw(st.integers(1, strands - 1))
+    last = draw(st.integers(first, strands - 1))
+    letters = draw(
+        st.lists(
+            st.integers(first, last).flatmap(lambda i: st.sampled_from((i, -i))),
+            max_size=40,
+        )
+    )
+    return BraidWord(tuple(letters), strands)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(wide_braid_words())
+@example(BraidWord((), 9))
+@example(BraidWord((1,) * 40, 2))  # one row per stacked column
+@example(BraidWord((-1,) * 39, 2))
+@example(BraidWord((8, -8) * 20, 9))  # returns to the identity
+@example(BraidWord((-4,) * 40, 9))  # one column, far negative powers of t
+def test_reduced_burau_reads_every_entry_back_out_of_the_stacked_columns(w):
+    assert reduced_burau(w) == tuple(map(tuple, generator_product(w)))
+
+
 def test_reduced_burau_respects_braid_relations():
     # adjacent: sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2
     lhs = reduced_burau(BraidWord((1, 2, 1), 3))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidinv import (
@@ -148,6 +148,85 @@ def test_determinant_fraction_free_over_laurent_polynomials(m):
     assert det == _cofactor_det(m)
 
 
+def test_determinant_fraction_free_refuses_a_matrix_that_is_not_square():
+    for matrix, lengths in (
+        ([[1, 2]], "1 rows of lengths [2]"),
+        ([[1, 2, 3], [4, 5, 6]], "2 rows of lengths [3, 3]"),
+        ([[1, 2], [3]], "2 rows of lengths [2, 1]"),
+        ([[1], []], "2 rows of lengths [1, 0]"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            determinant_fraction_free(matrix)
+        assert str(excinfo.value) == f"determinant needs a square matrix, got {lengths}"
+
+
+# Which entries may be nonzero.  Elimination skips every row whose entry in
+# the pivot column is zero, so these shapes leave rows behind for several
+# steps before they are used again.
+SHAPES = {
+    "full": lambda i, j, size: True,
+    "tridiagonal": lambda i, j, size: abs(i - j) <= 1,
+    # The wheel minors: tridiagonal plus a dense last row and column.
+    "arrow": lambda i, j, size: abs(i - j) <= 1 or size - 1 in (i, j),
+    "upper arrow": lambda i, j, size: abs(i - j) <= 1 or 0 in (i, j),
+}
+
+
+@st.composite
+def sparse_matrices(draw, entries, zero):
+    size = draw(st.integers(1, 6))
+    shape = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    m = [
+        [draw(entries) if shape(i, j, size) and draw(st.booleans()) else zero
+         for j in range(size)]
+        for i in range(size)
+    ]
+    if draw(st.booleans()):
+        # Make the last row a combination of the others: singular.
+        factors = [draw(entries) for _ in range(size - 1)]
+        m[-1] = [sum((f * row[j] for f, row in zip(factors, m)), zero) for j in range(size)]
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices(st.integers(-5, 5), 0))
+@example([[0, 0, 1], [0, 2, 0], [0, 3, 4]])  # singular: no pivot in column 0
+@example([[1, 0, 2], [0, 0, 0], [3, 0, 5]])  # a zero row: no pivot in column 1
+@example([[2, 0, 1], [0, 3, 0], [4, 0, 2]])  # singular at the last step
+def test_determinant_fraction_free_on_sparse_integer_matrices(m):
+    det = determinant_fraction_free(m)
+    assert isinstance(det, int)
+    assert det == _cofactor_det(m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices(laurent, LaurentPolynomial()))
+@example([[LaurentPolynomial({1: 1}), LaurentPolynomial()], [LaurentPolynomial()] * 2])
+def test_determinant_fraction_free_on_sparse_laurent_matrices(m):
+    assert determinant_fraction_free(m) == _cofactor_det(m)
+
+
+def test_determinant_fraction_free_swaps_in_a_row_that_skipped_steps():
+    # Row 3 has zeros in columns 0 and 1, so it skips steps 0 and 1; step 2
+    # finds a zero pivot and swaps it in, then eliminates row 4 with it.  The
+    # row it swaps out (zero in column 2) skips step 2 and ends up last.  Had
+    # the swap left the two rows' levels behind, the swapped-in row would be
+    # scaled by p_1 / p_0 = 21 / 5, which no integer division gets right.
+    m = [
+        [5, 1, 1, 3, 1],
+        [4, 5, 2, 6, 2],
+        [5, 1, 1, 4, 1],
+        [0, 0, 3, 1, 2],
+        [0, 1, 1, 2, 5],
+    ]
+    det = _cofactor_det(m)
+    assert det != 0
+    assert determinant_fraction_free(m) == det
+    t = LaurentPolynomial({1: 1})
+    m = [[entry * t for entry in row] for row in m]
+    assert determinant_fraction_free(m) == _cofactor_det(m) == det * t**5
+
+
 def test_wheel_spanning_tree_golden_values():
     assert [wheel_spanning_trees(n) for n in (2, 3, 4, 5, 6)] == [
         5, 16, 45, 121, 320,
@@ -157,6 +236,11 @@ def test_wheel_spanning_tree_golden_values():
 def test_wheel_spanning_trees_match_lucas():
     for n in range(2, 25):
         assert wheel_spanning_trees(n) == lucas(2 * n) - 2
+
+
+def test_wheel_spanning_trees_match_lucas_up_to_200():
+    for n in range(2, 201):
+        assert wheel_spanning_trees(n) == lucas(2 * n) - 2, n
 
 
 def test_bruteforce_agrees_with_matrix_tree():
