@@ -3,9 +3,10 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidinv import (
@@ -139,6 +140,110 @@ def test_exact_div_refuses_the_other_class():
     assert determinant_fraction_free(matrix) == (T - 1) ** 2 * (T + 2)
 
 
+def long_division(p, q):
+    # p.exact_div(q) with the word slots switched off, or the ValueError message.
+    with mock.patch.object(polynomials, "WORD_MIN_TERMS", sys.maxsize):
+        try:
+            return p.exact_div(q)
+        except ValueError as exc:
+            return str(exc)
+
+
+def takes_word_slots(p, q):
+    # Whether p.exact_div(q) is decided by one packed divmod.
+    return polynomials._word_quotient(p._coeffs, q._coeffs) is not None
+
+
+@st.composite
+def word_sized(draw):
+    # 1-40 terms of up to 30 bits at a random lowest exponent.
+    coeffs = draw(st.lists(st.integers(-(2**30), 2**30), min_size=1, max_size=40))
+    low = draw(st.integers(-20, 20))
+    return LaurentPolynomial({low + i: c for i, c in enumerate(coeffs)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word_sized(), word_sized(), st.integers(0, 10**6))
+def test_exact_div_returns_the_quotient_on_both_paths(q, d, where):
+    assume(not d.is_zero())
+    n = q * d
+    assert n.exact_div(d) == q
+    assert n // d == q
+    assert long_division(n, d) == q
+    if n.is_zero():
+        return
+    # One coefficient changed leaves no quotient, with the same message.
+    changed = n + LaurentPolynomial({n.min_exp + where % len(n._coeffs): 1})
+    assume(len(d._coeffs) > 1 or abs(d._coeffs[0]) > 1)
+    with pytest.raises(ValueError) as raised:
+        changed.exact_div(d)
+    assert str(raised.value) == long_division(changed, d)
+
+
+def test_exact_div_takes_word_slots_on_word_sized_quotients():
+    rng = random.Random(19)
+    for _ in range(50):
+        q = LaurentPolynomial(
+            {i - 5: rng.randint(-(2**20), 2**20) for i in range(rng.randint(8, 40))})
+        d = LaurentPolynomial({i: rng.randint(1, 2**20) for i in range(rng.randint(2, 30))})
+        n = q * d
+        assert takes_word_slots(n, d)
+        assert n // d == q
+        with pytest.raises(ValueError, match="^not exactly divisible$"):
+            (n + 1) // d
+
+
+def test_exact_div_by_a_signed_monomial_is_a_shift():
+    p = LaurentPolynomial({-3: 4, 0: -1, 2: 7})
+    assert p // T ** 3 == p.shifted(-3)
+    assert p.exact_div(-T.mirror() ** 2) == -p.shifted(2)
+    assert p // 1 == p and p // -1 == -p
+    z = ConwayPolynomial((0, 1))
+    c = ConwayPolynomial((0, 0, 5, -1))
+    assert c.exact_div(z) == ConwayPolynomial((0, 5, -1))
+    assert c.exact_div(-z * z) == ConwayPolynomial((-5, 1))
+    message = "^a Conway polynomial has no negative powers of z$"
+    with pytest.raises(ValueError, match=message):
+        c.exact_div(z ** 3)
+    # A quotient of word size that reaches z^-1 raises as well.
+    quotient = ConwayPolynomial(tuple(range(1, 11)))
+    divisor = ConwayPolynomial((2, 3, 1))
+    product = quotient * divisor
+    assert takes_word_slots(product, divisor.times_z())
+    with pytest.raises(ValueError, match=message):
+        product.exact_div(divisor.times_z())
+    assert product.exact_div(divisor) == quotient
+
+
+def test_exact_div_at_the_word_bound():
+    # D = [2^11, top, rest] and Q = 1 + t^7 put D twice into N without
+    # overlap, so max|N| is D's middle coefficient, the quotient's size guess
+    # is 33 - 12 + 9 = 30 bits, and max|N| + 2^30 |D|_1 is 2^63 - 1 for
+    # top = 7 * 2^30 - 1 and 2^63 for top = 7 * 2^30.
+    q = ONE + T ** 7
+    for top, word in ((7 * 2**30 - 1, True), (7 * 2**30, False)):
+        d = LaurentPolynomial({0: 2**11, 1: top, 2: 2**33 - 7 - top - 2**11})
+        n = q * d
+        bound = max(abs(c) for _, c in n.terms()) + (2**30) * sum(c for _, c in d.terms())
+        assert bound == 2**63 - 1 + (not word)
+        assert takes_word_slots(n, d) is word
+        assert n // d == q == long_division(n, d)
+
+
+def test_exact_div_falls_back_when_a_quotient_digit_is_too_large():
+    # The tent 1, 2, ..., h, ..., 2, 1 times (1 - t)^2 is 1 - 2 t^h + t^(2h):
+    # max|N| = 2 guesses quotient digits below 2^10, so a tent of height
+    # 1023 is proven from its divmod and one of height 1024 is not.
+    d = (ONE - T) ** 2
+    for height, word in ((1023, True), (1024, False)):
+        width = 2 * height - 1
+        tent = LaurentPolynomial({i: min(i + 1, width - i) for i in range(width)})
+        n = tent * d
+        assert n == ONE - 2 * T ** height + T ** (2 * height)
+        assert takes_word_slots(n, d) is word
+        assert n // d == tent == long_division(n, d)
+
+
 def dict_product(p, q):
     # The double loop over nonzero terms, summed in a dict.
     product = {}
@@ -167,7 +272,7 @@ def test_product_matches_the_double_loop(p, q):
     assert (p * q).terms() == dict_product(p, q)
 
 
-def test_product_at_the_slot_bound():
+def test_product_at_the_slot_bound(monkeypatch):
     # Every coefficient -2^b: the middle product coefficient is exactly
     # min(len) * 4^b, the bound the slot width is computed from.  With a
     # power-of-two min(len), some b puts the bound's top bit on a byte
@@ -181,6 +286,25 @@ def test_product_at_the_slot_bound():
             product = p * q
             assert product.terms() == dict_product(p, q)
             assert max(c for _, c in product.terms()) == min(n, m) * 4**b
+    # Word slots: n terms +-1 against 3n terms -y.  The middle product
+    # coefficient is n * y, the bound word slots are chosen by.  For each n
+    # the largest bound below 2^63 takes word slots from WORD_MIN_TERMS
+    # terms on, and the smallest at or above it never does.  49 divides
+    # 2^63 - 1 and 64 divides 2^63, so those bounds are hit exactly.
+    calls = []
+    words = polynomials._words
+    monkeypatch.setattr(polynomials, "_words", lambda c: calls.append(1) or words(c))
+    threshold = polynomials.WORD_MIN_TERMS
+    for n in (threshold - 1, threshold, 49, 64):
+        for y, fits in ((2**63 - 1) // n, True), (-(-(2**63) // n), False):
+            for sign in (1, -1):
+                p = LaurentPolynomial({i - n: sign for i in range(n)})
+                q = LaurentPolynomial({i: -y for i in range(3 * n)})
+                calls.clear()
+                product = p * q
+                assert product.terms() == dict_product(p, q)
+                assert max(abs(c) for _, c in product.terms()) == n * y
+                assert bool(calls) == (fits and n >= threshold)
 
 
 def test_conway_polynomial_basics():
