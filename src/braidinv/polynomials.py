@@ -22,21 +22,31 @@ are multiplied once, and the coefficients are read back from the bytes of
 the result (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009).
 
-Word slots serve products and exact quotients of at least WORD_MIN_TERMS
-terms whose coefficients stay below 2^63 in size, which is nearly all of
-the Bareiss arithmetic of a knot on 7 or 8 strands and 80 letters.  Each
-list is evaluated at u = 2^64 by one signed 64-bit `array` conversion and
-one `int.from_bytes`, and read back by one `int.to_bytes`, with no Python
-step per coefficient.  A product takes them when max|a| max|b| times the
-shorter length is below 2^63, so every product coefficient fits a slot.
-A quotient N / D takes one `divmod` of the packed N and D.  A remainder
-proves N is not a multiple of D.  With no remainder, the quotient's
-digits Q are accepted when each is below 2^q in size, q being a guess
-from the sizes of N and of D's end coefficients for which
-max|N| + 2^q |D|_1 < 2^63: then R = N - Q D has every coefficient below
-2^63 in size and R(2^64) = 0, which forces R = 0, so Q is exact without
-multiplying back.  Any other case takes the double loop, byte slots or
-long division, and a divisor +-t^e is a shift.  A Conway polynomial is a
+Word slots hold a polynomial whose coefficients stay below 2^63 in size as
+its value at u = 2^64, one signed 64-bit digit per coefficient, packed by
+one `array` conversion and one `int.from_bytes` and read back by one
+`int.to_bytes`, with no Python step per coefficient.  The Bareiss
+determinant of a knot on 4 or more strands runs on a private ring of such
+values, `_WordSlots`: each entry of B - I is packed once, and every product,
+difference and exact quotient of the elimination is one integer operation
+on the packed values, with a bound on the coefficients carried alongside.
+A product's bound is max|a| max|b| times the fewer slots, a difference's
+the sum of the two bounds.  A quotient N / D takes one `divmod`, and its
+digits Q are read back; it is accepted when there is no remainder and
+max|N| + max|Q| |D|_1 < 2^63, since R = N - Q D then has every coefficient
+below 2^63 in size and R(2^64) = 0, which forces R = 0: Q is exact without
+multiplying back.  An operation whose bound reaches 2^63, or whose
+quotient is not accepted, decodes its operands and continues on
+LaurentPolynomial, so entries that outgrow 64 bits leave the ring one by
+one and the result is decoded once.  On 7 or 8 strands and 80 letters the
+whole elimination stays in the ring.
+
+LaurentPolynomial itself takes word slots for a product whose shorter
+operand has at least WORD_MIN_TERMS terms and whose bound is below 2^63,
+and for an exact quotient of at least WORD_MIN_TERMS terms, accepted as
+above with a guess 2^q for max|Q| made from the sizes of N and of D's end
+coefficients.  Any other case takes the double loop, byte slots or long
+division, and a divisor +-t^e is a shift.  A Conway polynomial is a
 Laurent polynomial in z with the same storage and arithmetic, kept apart
 from polynomials in t by its class.
 """
@@ -134,19 +144,24 @@ def _pack(coeffs: list, width: int, half: int) -> int:
     return int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
 
 
+# `array` items are in the machine's byte order, word slots little-endian.
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _word_bias(n: int) -> int:
     # 2^63 in each of n 64-bit slots.
-    return int.from_bytes((1 << 63).to_bytes(8, sys.byteorder) * n, sys.byteorder)
+    return int.from_bytes((1 << 63).to_bytes(8, "little") * n, "little")
 
 
 def _words(coeffs: list) -> int:
     # sum(c_i * 2^(64 i)) for coefficients below 2^63 in size.  Flipping the
     # top bit of each two's-complement slot adds the bias 2^63 to it, which
-    # the subtraction takes off again.  In big-endian byte order the list
-    # is packed reversed, as t^(n-1) p(1/t); products and exact quotients
-    # respect the reversal, and `_unwords` undoes it.
+    # the subtraction takes off again.
+    slots = array("q", coeffs)
+    if _BIG_ENDIAN:
+        slots.byteswap()
     bias = _word_bias(len(coeffs))
-    return (int.from_bytes(array("q", coeffs).tobytes(), sys.byteorder) ^ bias) - bias
+    return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
 
 
 def _unwords(value: int, n: int):
@@ -156,7 +171,10 @@ def _unwords(value: int, n: int):
     value += bias
     if value < 0 or value.bit_length() > 64 * n:
         return None
-    return array("q", (value ^ bias).to_bytes(8 * n, sys.byteorder)).tolist()
+    slots = array("q", (value ^ bias).to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _product(a: list, b: list) -> list:
@@ -553,20 +571,164 @@ def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
     return p
 
 
+_SLOT_LIMIT = 1 << 63
+
+
+class _WordSlots:
+    # A Laurent polynomial held as its value at u = 2^64: `value` is
+    # sum(c_i 2^(64 i)) over the coefficients c_i of t^(low + i), i < slots,
+    # and every |c_i| is at most `top` < 2^63, so the c_i are the signed
+    # 64-bit digits of `value`.  Products, differences and exact quotients
+    # are one integer operation each; the digits are read only to prove a
+    # quotient.  An operation whose bound reaches 2^63, or whose quotient is
+    # not proven, decodes its operands and returns a LaurentPolynomial,
+    # whose exact division then raises for a non-multiple.  A divisor with
+    # a zero lowest slot can leave a remainder at u = 2^64 although the
+    # polynomials divide, so quotients drop their zero low slots: Bareiss's
+    # pivots are quotients or entries of the input, and stay in the ring.
+    # `slots` may overcount a difference's top slots; the bounds still hold.
+
+    __slots__ = ("low", "value", "slots", "top", "_poly", "_norm")
+
+    def __init__(self, low, value, slots, top):
+        self.low = low
+        self.value = value
+        self.slots = slots
+        self.top = top
+        self._poly = None
+        self._norm = None
+
+    def polynomial(self) -> LaurentPolynomial:
+        if self._poly is None:
+            self._poly = _trimmed(LaurentPolynomial, self.low, _unwords(self.value, self.slots))
+        return self._poly
+
+    def norm(self) -> int:
+        # sum |c_i|, the most a quotient digit can be multiplied into any
+        # coefficient of Q * self.
+        if self._norm is None:
+            self._norm = sum(map(abs, self.polynomial()._coeffs))
+        return self._norm
+
+    def _operand(self, other):
+        # `other` in word slots, or None when it has to be decoded.
+        if other.__class__ is _WordSlots:
+            return other
+        if other.__class__ is int and -_SLOT_LIMIT < other < _SLOT_LIMIT:
+            constant = _WordSlots(0, other, 1, abs(other))
+            constant._norm = constant.top
+            return constant
+        return None
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __eq__(self, other):
+        return self.polynomial() == _plain(other)
+
+    def __mul__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return self.polynomial() * other
+        if not (self.value and b.value):
+            return _WordSlots(0, 0, 0, 0)
+        # A product coefficient sums at most min(slots) products of digits.
+        top = self.top * b.top * min(self.slots, b.slots)
+        if top >= _SLOT_LIMIT:
+            return self.polynomial() * b.polynomial()
+        return _WordSlots(self.low + b.low, self.value * b.value, self.slots + b.slots - 1, top)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        b = self._operand(other)
+        return self.polynomial() - other if b is None else _difference(self, b)
+
+    def __rsub__(self, other):
+        a = self._operand(other)
+        return other - self.polynomial() if a is None else _difference(a, self)
+
+    def __floordiv__(self, other):
+        d = self._operand(other)
+        if d is not None and d.value:
+            if not self.value:
+                return self
+            quotient, rest = divmod(self.value, d.value)
+            digits = None if rest else _unwords(quotient, self.slots - d.slots + 1)
+            if digits is not None:
+                top = max(max(digits), -min(digits))
+                # R = N - Q D then has every coefficient below 2^63 in size
+                # and R(2^64) = 0, which forces R = 0.
+                if self.top + top * d.norm() < _SLOT_LIMIT:
+                    start = 0
+                    while not digits[start]:
+                        start += 1
+                    end = len(digits)
+                    while not digits[end - 1]:
+                        end -= 1
+                    return _WordSlots(
+                        self.low - d.low + start, quotient >> 64 * start, end - start, top
+                    )
+        return self.polynomial() // _plain(other)
+
+    def __rfloordiv__(self, other):
+        n = self._operand(other)
+        return other // self.polynomial() if n is None else n // self
+
+
+def _difference(a: _WordSlots, b: _WordSlots):
+    # a - b with b's slots moved to a's exponents, or the other way round.
+    if not b.value:
+        return a
+    if not a.value:
+        return _WordSlots(b.low, -b.value, b.slots, b.top)
+    top = a.top + b.top
+    if top >= _SLOT_LIMIT:
+        return a.polynomial() - b.polynomial()
+    shift = b.low - a.low
+    if shift >= 0:
+        return _WordSlots(
+            a.low, a.value - (b.value << 64 * shift), max(a.slots, b.slots + shift), top
+        )
+    return _WordSlots(
+        b.low, (a.value << -64 * shift) - b.value, max(a.slots - shift, b.slots), top
+    )
+
+
+def _in_slots(p: LaurentPolynomial):
+    # p in word slots when its coefficients fit below 2^63, else p itself.
+    coeffs = p._coeffs
+    if not coeffs:
+        return _WordSlots(0, 0, 0, 0)
+    top = max(max(coeffs), -min(coeffs))
+    if top >= _SLOT_LIMIT:
+        return p
+    return _WordSlots(p._low, _words(coeffs), len(coeffs), top)
+
+
+def _plain(x):
+    # A LaurentPolynomial (or int) for x, decoding word slots.
+    return x.polynomial() if x.__class__ is _WordSlots else x
+
+
 def _det_minus_identity(w: BraidWord, m) -> LaurentPolynomial:
     # det(M - I) for the reduced Burau matrix M of w.  On 3 strands this is
     # det M - (M00 + M11) + 1 with det M = (-1)^L t^e for L letters of
     # exponent sum e, since each generator matrix has determinant -t and
-    # each inverse -1/t; other strand counts take the Bareiss determinant.
+    # each inverse -1/t.  On 2 strands it is the one entry.  On 4 or more
+    # the entries go into word slots and the Bareiss determinant runs on
+    # them, falling back to LaurentPolynomial entry by entry where the
+    # coefficients outgrow 2^63; the result is decoded once.
     if w.strands == 3:
         letters = w.letters
         exponent_sum = 2 * sum(letter > 0 for letter in letters) - len(letters)
         det_m = _laurent(LaurentPolynomial, exponent_sum, [-1 if len(letters) % 2 else 1])
         return det_m - (m[0][0] + m[1][1]) + 1
-    return determinant_fraction_free(
-        [[entry - 1 if i == j else entry for j, entry in enumerate(row)]
-         for i, row in enumerate(m)]
-    )
+    rows = [[entry - 1 if i == j else entry for j, entry in enumerate(row)]
+            for i, row in enumerate(m)]
+    if w.strands == 2:
+        return determinant_fraction_free(rows)
+    return _plain(determinant_fraction_free([list(map(_in_slots, row)) for row in rows]))
 
 
 def alexander_of_closure(w: BraidWord) -> LaurentPolynomial:

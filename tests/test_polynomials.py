@@ -307,6 +307,234 @@ def test_product_at_the_slot_bound(monkeypatch):
                 assert bool(calls) == (fits and n >= threshold)
 
 
+# The word-slot ring that carries the Bareiss determinant of knots on 4 or
+# more strands.  An operation it keeps returns word slots, one it hands to
+# LaurentPolynomial returns a LaurentPolynomial; either must decode to what
+# LaurentPolynomial arithmetic gives.
+WordSlots = polynomials._WordSlots
+plain = polynomials._plain
+
+
+def in_slots(p: LaurentPolynomial) -> WordSlots:
+    s = polynomials._in_slots(p)
+    assert isinstance(s, WordSlots)
+    return s
+
+
+def top(p: LaurentPolynomial) -> int:
+    return max((abs(c) for _, c in p.terms()), default=0)
+
+
+@st.composite
+def slot_sized(draw):
+    # 1-40 terms of up to 1, 8, 20 or 40 bits at a random lowest exponent.
+    bits = draw(st.sampled_from((1, 8, 20, 40)))
+    coeffs = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=40))
+    low = draw(st.integers(-20, 20))
+    return LaurentPolynomial({low + i: c for i, c in enumerate(coeffs)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(slot_sized(), slot_sized(), st.integers(0, 10**6))
+def test_word_slots_decode_to_the_laurent_results(p, q, where):
+    a, b = in_slots(p), in_slots(q)
+    assert plain(a) == p and plain(b) == q
+    product = a * b
+    assert plain(product) == p * q
+    fits = top(p) * top(q) * min(len(p._coeffs), len(q._coeffs)) < 2**63
+    assert isinstance(product, WordSlots) is (fits or p.is_zero() or q.is_zero())
+    for difference, expected in ((a - b, p - q), (b - a, q - p), (a - q, p - q), (p - b, p - q),
+                                 (a - 7, p - 7), (7 - a, 7 - p)):
+        assert plain(difference) == expected
+        assert difference == expected
+    assert isinstance(a - b, WordSlots)
+    assert plain(-1 * a) == -p and plain(b * 3) == 3 * q and bool(a) is bool(p)
+    if q.is_zero():
+        return
+    n = p * q
+    if top(n) >= 2**63:
+        return
+    quotient = in_slots(n) // b
+    assert plain(quotient) == p
+    proven = top(n) + top(p) * sum(abs(c) for _, c in q.terms()) < 2**63
+    assert isinstance(quotient, WordSlots) is (proven or p.is_zero())
+    assert plain(in_slots(n) // q) == p == n // b
+    if n.is_zero() or (len(q._coeffs) == 1 and abs(q._coeffs[0]) == 1):
+        return
+    # One coefficient changed leaves no quotient, with the same message.
+    changed = n + LaurentPolynomial({n.min_exp + where % len(n._coeffs): 1})
+    with pytest.raises(ValueError) as raised:
+        in_slots(changed) // b
+    assert str(raised.value) == long_division(changed, q)
+
+
+def test_word_slot_bounds_at_2_to_the_63():
+    # Each bound is hit exactly by a coefficient of the result: one below
+    # 2^63 stays in word slots, 2^63 goes to LaurentPolynomial.
+    for n, y, fits in ((7, (2**63 - 1) // 7, True), (8, 2**63 // 8, False)):
+        # A product: n ones against 10 slots of y, so the middle is n * y.
+        p = LaurentPolynomial({i: 1 for i in range(n)})
+        q = LaurentPolynomial({i - 3: -y for i in range(10)})
+        product = in_slots(p) * in_slots(q)
+        assert isinstance(product, WordSlots) is fits
+        assert plain(product) == p * q and top(p * q) == n * y
+    for gap, fits in ((1, True), (0, False)):
+        # A difference: tops 2^62 + 5 and 2^62 - 5 - gap, placed so that
+        # the two coefficients meet at t^2 with opposite signs.
+        p = LaurentPolynomial({-1: 3, 2: 2**62 + 5})
+        q = LaurentPolynomial({2: -(2**62 - 5 - gap), 4: 1})
+        difference = in_slots(p) - in_slots(q)
+        assert isinstance(difference, WordSlots) is fits
+        assert plain(difference) == p - q and top(p - q) == 2**63 - gap
+    # A quotient N / D with N = A - B = q (1 + t), D = 1 + t: the difference
+    # carries the bound q + 2s, so the certificate reads 3q + 2s, which is
+    # 2^63 - 1 for the odd q and 2^63 for the even one.
+    d = ONE + T
+    for q, fits in ((2**40 + 1, True), (2**40, False)):
+        s = (2**63 - fits - 3 * q) // 2
+        assert 3 * q + 2 * s == 2**63 - fits
+        a = in_slots((q + s) * d)
+        n = a - in_slots(s * d)
+        assert isinstance(n, WordSlots) and n.top == q + 2 * s
+        quotient = n // in_slots(d)
+        assert isinstance(quotient, WordSlots) is fits
+        assert plain(quotient) == q * ONE
+
+
+def test_word_slot_quotient_needs_the_divisor_norm():
+    # N = 4 - 5t and D = 2^62 - 1 + t are no multiple of each other, but
+    # N(2^64) = -4 D(2^64).  The digit -4 is small; the certificate refuses
+    # it only through |D|_1 = 2^62, and long division then finds the remainder.
+    n = LaurentPolynomial({0: 4, 1: -5})
+    d = LaurentPolynomial({0: 2**62 - 1, 1: 1})
+    assert n.evaluate(2**64) == -4 * d.evaluate(2**64)
+    with pytest.raises(ValueError, match="^not exactly divisible"):
+        in_slots(n) // in_slots(d)
+
+
+def cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = LaurentPolynomial()
+    for j, lead in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * lead * cofactor_det(minor)
+    return total
+
+
+def slot_det(m):
+    # The determinant as _det_minus_identity takes it, before decoding.
+    return determinant_fraction_free([[polynomials._in_slots(e) for e in row] for row in m])
+
+
+# Small entries, and entries with a coefficient near 2^62 or past 2^63.
+ring_entries = st.one_of(
+    st.just(LaurentPolynomial()),
+    st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=3).map(
+        LaurentPolynomial
+    ),
+    st.builds(
+        lambda exp, size, sign, rest: LaurentPolynomial({exp: sign * size, exp + 1: rest}),
+        st.integers(-2, 2),
+        st.sampled_from((2**62 - 3, 2**62, 3 * 2**61, 2**63 - 1, 2**63, 2**64 + 5)),
+        st.sampled_from((1, -1)),
+        st.integers(-3, 3),
+    ),
+)
+
+
+@st.composite
+def ring_matrices(draw):
+    # Zero masks leave rows behind for several steps and force swaps; a
+    # zero corner swaps at once; a last row built from the others is
+    # singular.
+    size = draw(st.integers(1, 5))
+    m = [[draw(ring_entries) if draw(st.integers(0, 3)) else LaurentPolynomial()
+          for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        m[0][0] = LaurentPolynomial()
+    if size > 1 and draw(st.integers(0, 3)) == 0:
+        factors = [draw(ring_entries) for _ in range(size - 1)]
+        m[-1] = [sum((f * row[j] for f, row in zip(factors, m)), LaurentPolynomial())
+                 for j in range(size)]
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ring_matrices())
+@example([[T, ONE, ONE], [ONE, T, ONE], [ONE, ONE, T]])
+@example([[LaurentPolynomial(), T], [ONE + T, 2**62 * T]])
+def test_word_slot_determinant_matches_cofactors_and_plain_bareiss(m):
+    det = plain(slot_det(m))
+    assert isinstance(det, LaurentPolynomial)
+    assert det == cofactor_det(m) == determinant_fraction_free(m)
+
+
+def test_word_slot_determinant_falls_back_mid_elimination():
+    # Small entries run in word slots until the 2^62 entry in the corner
+    # meets the pivots; the products there fall back.
+    rng = random.Random(20)
+    for _ in range(20):
+        m = [[LaurentPolynomial({e: rng.randint(-9, 9) for e in range(-1, 2)})
+              for _ in range(5)] for _ in range(5)]
+        m[4][4] = m[4][4] + 2**62 * T
+        det = slot_det(m)
+        assert isinstance(det, LaurentPolynomial)
+        assert det == cofactor_det(m) == determinant_fraction_free(m)
+
+
+def test_word_slot_pivot_with_a_zero_lowest_slot_stays_in_slots():
+    # Step 0 leaves (1 + t)(1 + 2t) - 1 (1 + t) = 2t + 2t^2 at (1, 1), a
+    # difference whose lowest slot is zero; its quotient by the first
+    # divisor, 1, drops that slot before it divides the step-2 cross
+    # products as pivot.  These reach down to the lowest slot the pivot
+    # times the quotient has, so an untrimmed pivot leaves a remainder.
+    u = T.mirror()
+    m = [
+        [ONE + T, ONE + T, -2 * ONE, ONE],
+        [ONE, ONE + 2 * T, -T, u - 2 + T],
+        [2 * u - 3, -T, 3 - 3 * u, -u - T],
+        [3 - T, 3 - 3 * T, -2 * ONE, 3 - 2 * u],
+    ]
+    det = slot_det(m)
+    assert isinstance(det, WordSlots)
+    assert plain(det) == cofactor_det(m)
+
+
+def test_wide_knots_keep_the_determinant_in_word_slots():
+    rng = random.Random(23)
+    for strands, letters in ((5, 40), (7, 80), (8, 81)):
+        for _ in range(5):
+            w = _random_knot(rng, strands, letters)
+            m = reduced_burau(w)
+            shifted = [[e - 1 if i == j else e for j, e in enumerate(row)]
+                       for i, row in enumerate(m)]
+            det = slot_det(shifted)
+            assert isinstance(det, WordSlots)
+            assert plain(det) == polynomials._det_minus_identity(w, m)
+            assert plain(det) == determinant_fraction_free(shifted)
+
+
+def test_two_and_three_strand_words_never_enter_the_word_slots(monkeypatch):
+    made = []
+    init = WordSlots.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WordSlots, "__init__", counted)
+    for strands, alphabet in ((2, (1, -1)), (3, (1, -1, 2, -2))):
+        for length in range(7):
+            for letters in itertools.product(alphabet, repeat=length):
+                w = BraidWord(letters, strands)
+                if closure_components(w) == 1:
+                    conway_of_closure(w)
+    assert made == []
+    conway_of_closure(BraidWord((1, 2, 3), 4))
+    assert made
+
+
 def test_conway_polynomial_basics():
     p = ConwayPolynomial((1, 0, -2))
     assert p.degree() == 2
