@@ -11,12 +11,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import random
 import sys
 
 from .braids import (
-    BraidParseError,
     BraidWord,
     closure_components,
     parse_braid_word,
@@ -464,35 +464,60 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _cmd_invariants(ns: argparse.Namespace) -> int:
+def _invariants_word(ns: argparse.Namespace) -> BraidWord:
+    """The word `invariants` runs on; ValueError with the usage message if refused."""
     if ns.power < 0:
-        return _usage_error(f"--power must be nonnegative, got {ns.power}")
+        raise ValueError(f"--power must be nonnegative, got {ns.power}")
     if ns.strands is not None and ns.strands < 1:
-        return _usage_error(f"--strands must be positive, got {ns.strands}")
-    try:
-        word = parse_braid_word(ns.braid, ns.strands)
-    except BraidParseError as exc:
-        return _usage_error(str(exc))
+        raise ValueError(f"--strands must be positive, got {ns.strands}")
+    word = parse_braid_word(ns.braid, ns.strands)
     if word.strands > MAX_INVARIANT_STRANDS:
-        return _usage_error(
+        raise ValueError(
             f"the word is on {word.strands} strands,"
             f" more than the cap of {MAX_INVARIANT_STRANDS}"
         )
     if len(word) * ns.power > MAX_INVARIANT_LETTERS:
-        return _usage_error(
+        raise ValueError(
             f"the word repeated {ns.power} times has {len(word) * ns.power} letters,"
             f" more than the cap of {MAX_INVARIANT_LETTERS}"
         )
-    word = power(word, ns.power)
+    return power(word, ns.power)
+
+
+def _check_max(ns: argparse.Namespace) -> None:
+    """Refuse --max below 1, or one whose largest Lucas value could not be printed.
+
+    The theorem and murasugi tables print L(2n) - 2 and the corollary table
+    L(12n + 4) for n up to --max; the interpreter refuses to convert an int
+    of more than sys.get_int_max_str_digits() digits to text (0: no limit).
+    """
+    if ns.n_max < 1:
+        raise ValueError(f"--max must be at least 1, got {ns.n_max}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if ns.command == "recurrence" or not limit:
+        return
+    # L(m) is the integer nearest phi^m, so it has about m log10(phi)
+    # digits; only near the limit is it computed and compared exactly.  An
+    # int compares with a float exactly, however large.
+    m = 12 * ns.n_max + 4 if ns.command == "corollary" else 2 * ns.n_max
+    per_index = math.log10((1 + math.sqrt(5)) / 2)
+    if m > (limit + 1) / per_index or (m > (limit - 1) / per_index and lucas(m) >= 10**limit):
+        raise ValueError(
+            f"--max {ns.n_max} would print a Lucas number of more than"
+            f" {limit} digits, the most this interpreter converts to text"
+        )
+
+
+def _cmd_invariants(word: BraidWord, fmt: str) -> int:
     try:
         record = braid_invariants(word)
     except ValueError as exc:
         print(f"braidinv: {exc}", file=sys.stderr)
         return 1
-    if ns.format == "json":
+    if fmt == "json":
         print(json.dumps({k: _cell(v, True) for k, v in record.items()}, indent=2))
     else:
-        _emit([record], ns.format)
+        _emit([record], fmt)
     return 0 if record["oracle_match"] else 1
 
 
@@ -521,20 +546,25 @@ def main(argv=None) -> int:
 
 
 def _dispatch(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
+    # Every argument is checked before the first line is printed, so a usage
+    # error (exit 2) leaves stdout empty.
+    if ns.command is None and not ns.print_convention:
+        parser.print_usage(sys.stderr)
+        return 2
+    try:
+        if ns.command == "invariants":
+            word = _invariants_word(ns)
+        elif ns.command is not None:
+            _check_max(ns)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if ns.print_convention:
         for line in CONVENTION_LINES:
             print(line)
-        if ns.command is None:
-            return 0
     if ns.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-
+        return 0
     if ns.command == "invariants":
-        return _cmd_invariants(ns)
-
-    if getattr(ns, "n_max", 1) < 1:
-        return _usage_error(f"--max must be at least 1, got {ns.n_max}")
+        return _cmd_invariants(word, ns.format)
 
     if ns.command == "theorem":
         rows = theorem_table(ns.n_max)

@@ -10,9 +10,10 @@ signed monomial (-1)^L t^e of a word of L letters and exponent sum e; any
 other strand count takes it by fraction-free elimination.  A Clenshaw sum
 in z^2 = t - 2 + 1/t turns the Alexander polynomial into the Conway
 polynomial.  The secondary route multiplies the word out in the Hecke
-algebra over Z[z], where the Conway skein relation reads g - 1/g = z, and
-takes the Conway trace of the product; it never sees a matrix or a Gauss
-diagram.  Both routes use exact integer arithmetic throughout.
+algebra, where the Conway skein relation reads g - 1/g = z, and takes the
+Conway trace of the product over the integers at z = 2^W, decoded once; it
+never sees a matrix or a Gauss diagram.  Both routes use exact integer
+arithmetic throughout.
 
 A Laurent polynomial is dense: its lowest exponent and a list of integer
 coefficients.  Sums, shifts and evaluation are single passes over those
@@ -194,17 +195,20 @@ def _product(a: list, b: list) -> list:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return out
-    # A byte-aligned slot of `width` bytes holds `bound` with a sign bit to
-    # spare.  Adding half a slot to every coefficient of the product makes
-    # every slot nonnegative, so slices of its bytes are the coefficients
-    # plus `half`.
+    # A slot of `width` bytes holds `bound` with a sign bit to spare.
     bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
-    size = len(a) + len(b) - 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
-    packed = _pack(a, width, half) * _pack(b, width, half) + bias
-    data = packed.to_bytes(size * width, "little")
+    return _unbytes(_pack(a, width, half) * _pack(b, width, half), width, len(a) + len(b) - 1)
+
+
+def _unbytes(value: int, width: int, size: int) -> list:
+    # The `size` signed digits of `value` in slots of `width` bytes, lowest
+    # first, each below half a slot in size: adding `half` to every digit
+    # makes every slot nonnegative, so slices of the bytes are digit + half.
+    half = 1 << (8 * width - 1)
+    value += int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    data = value.to_bytes(size * width, "little")
     return [
         int.from_bytes(data[i : i + width], "little") - half
         for i in range(0, size * width, width)
@@ -794,58 +798,43 @@ class SkeinLimitError(RuntimeError):
 # The skein route keeps one coefficient per permutation, up to k! of them.
 MAX_SKEIN_STRANDS = 8
 
-_ONE = ConwayPolynomial((1,))
 
-
-def _accumulate(element, perm, coeff):
-    total = element.get(perm)
-    if total is not None:
-        coeff = total + coeff
-    if coeff:
-        element[perm] = coeff
-    else:
-        element.pop(perm, None)
-
-
-def _times_generator(element, i, positive):
+def _times_generator(element, i, positive, shift):
     # Right multiplication by g_(i+1), or by its inverse, swaps positions i
     # and i+1 (0-based) of each permutation.  By g - 1/g = z, T_w g gains
     # z T_w when that swap puts the smaller value first, and T_w / g gains
-    # -z T_w when it puts the larger value first.
+    # -z T_w when it puts the larger value first; z is 2^shift.
     out: dict = {}
     for perm, coeff in element.items():
-        _accumulate(out, perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :], coeff)
+        swapped = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
+        out[swapped] = out.get(swapped, 0) + coeff
         if (perm[i] > perm[i + 1]) == positive:
-            extra = coeff.times_z()
-            _accumulate(out, perm, extra if positive else -extra)
+            out[perm] = out.get(perm, 0) + ((coeff if positive else -coeff) << shift)
     return out
 
 
-def _trace(element, memo):
-    # Conway trace, memoized per permutation.  With the largest value k-1 at
-    # position p (0-based), T_w = T_u g_(k-1) g_(k-2) ... g_(p+1), where u is
-    # w without that value; moving g_(k-2) ... g_(p+1) to the front and
-    # removing g_(k-1) by a Markov move leaves T_u g_(k-2) ... g_(p+1) on
-    # k-1 strands.  With the largest value last, the last strand closes to
-    # an unknot split from the rest.
-    total = _laurent(ConwayPolynomial, 0, [])
+def _trace(element, memo, shift):
+    # Conway trace at z = 2^shift, memoized per permutation.  With the
+    # largest value k-1 at position p (0-based), T_w = T_u g_(k-1) g_(k-2)
+    # ... g_(p+1), where u is w without that value; moving g_(k-2) ...
+    # g_(p+1) to the front and removing g_(k-1) by a Markov move leaves T_u
+    # g_(k-2) ... g_(p+1) on k-1 strands.  With the largest value last, the
+    # last strand closes to an unknot split from the rest.
+    total = 0
     for perm, coeff in element.items():
         value = memo.get(perm)
         if value is None:
             k = len(perm)
             p = perm.index(k - 1)
-            if k == 1:
-                value = _ONE
-            elif p == k - 1:
-                value = _laurent(ConwayPolynomial, 0, [])
+            if p == k - 1:
+                value = int(k == 1)
             else:
-                reduced = {perm[:p] + perm[p + 1 :]: _ONE}
+                reduced = {perm[:p] + perm[p + 1 :]: 1}
                 for i in range(k - 3, p - 1, -1):
-                    reduced = _times_generator(reduced, i, True)
-                value = _trace(reduced, memo)
+                    reduced = _times_generator(reduced, i, True, shift)
+                value = _trace(reduced, memo, shift)
             memo[perm] = value
-        if value:
-            total = total + coeff * value
+        total += coeff * value
     return total
 
 
@@ -858,9 +847,11 @@ def conway_skein(w: BraidWord, max_letters: int = 12) -> ConwayPolynomial:
     word is multiplied out letter by letter, and the Conway trace of the
     product is the polynomial of the closure: 1 on T_id of one strand, 0
     when a strand closes to a split unknot, and otherwise reduced to one
-    strand fewer by a Markov move.  The trace is memoized per permutation
-    for the duration of the call.  Works for links as well as knots, and
-    reads neither the Gauss diagram nor the Burau matrix.
+    strand fewer by a Markov move.  It all runs over the integers at z =
+    2^W, decoded once from the signed W-bit digits of the trace, W set by
+    the word's length and strand count.  The trace is memoized per
+    permutation for the duration of the call.  Works for links as well as
+    knots, and reads neither the Gauss diagram nor the Burau matrix.
 
     Raises:
         SkeinLimitError: when the word has more than `max_letters` letters or
@@ -875,10 +866,19 @@ def conway_skein(w: BraidWord, max_letters: int = 12) -> ConwayPolynomial:
             f"word has {w.strands} strands, the skein route allows at most"
             f" {MAX_SKEIN_STRANDS}"
         )
-    element = {tuple(range(w.strands)): _ONE}
+    # Evaluation at z = 2^shift is a ring map.  A letter sends a coefficient c
+    # to c and +-z c, at most doubling the sum of absolute coefficients in z,
+    # and the trace of a basis element on k strands (at most k - 2 letters
+    # traced on k - 1 strands) sums to at most 2^((k-1)(k-2)/2).  So with L
+    # letters each coefficient of the result is at most 2^(L + (k-1)(k-2)/2),
+    # below half a slot; a top digit at 2^(shift d) puts |value| >= 2^(shift d - 1).
+    width = (len(w.letters) + (w.strands - 1) * (w.strands - 2) // 2 + 9) // 8
+    shift = 8 * width
+    element = {tuple(range(w.strands)): 1}
     for letter in w.letters:
-        element = _times_generator(element, abs(letter) - 1, letter > 0)
-    return _trace(element, {})
+        element = _times_generator(element, abs(letter) - 1, letter > 0, shift)
+    value = _trace(element, {}, shift)
+    return _trimmed(ConwayPolynomial, 0, _unbytes(value, width, value.bit_length() // shift + 1))
 
 
 def c2_oracle(w: BraidWord) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,11 +8,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidinv import BraidWord, closure_components, from_braid_closure
 import braidinv
 from braidinv import braids, cli, counting, gauss, polynomials, sequences
 from braidinv.cli import (
+    CONVENTION_LINES,
     MAX_INVARIANT_LETTERS,
     MAX_INVARIANT_STRANDS,
     braid_invariants,
@@ -25,6 +29,7 @@ from braidinv.cli import (
     recurrence_check,
     theorem_table,
 )
+from braidinv.sequences import lucas
 
 
 def run_cli(capsys, *argv):
@@ -430,6 +435,145 @@ def test_cli_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem", "--max", "-5", "--print-convention"),
+    ("--print-convention", "theorem", "--max", "-5"),
+    ("corollary", "--max", "0", "--print-convention"),
+    ("--print-convention", "recurrence", "--case", "1", "--max", "0"),
+    ("invariants", "--braid", "1", "--power", "-1", "--print-convention"),
+    ("--print-convention", "invariants", "--braid", "1", "--strands", "0"),
+    ("invariants", "--braid", "1 spam", "--print-convention"),
+    ("--print-convention", "invariants", "--braid", "1", "--strands", "65"),
+    ("invariants", "--braid", "1 2", "--power", "1001", "--print-convention"),
+], ids=" ".join)
+def test_cli_usage_errors_print_nothing_to_stdout(capsys, argv):
+    # Every argument is checked before the convention lines are printed.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("braidinv: error: ")
+
+
+def test_cli_print_convention_comes_before_the_table(capsys):
+    code, out, _ = run_cli(capsys, "theorem", "--max", "2", "--print-convention")
+    lines = out.splitlines()
+    assert code == 0
+    assert tuple(lines[:3]) == CONVENTION_LINES
+    assert lines[3].split()[0] == "n"
+
+
+@pytest.fixture
+def default_digit_limit():
+    # The interpreter's default limit on int-to-text conversion, 4,300 digits.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter does not limit int-to-text conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+# Per subcommand: its table function, and the first --max whose largest
+# printed value, L(12n + 4) for corollary and L(2n) - 2 for theorem and
+# murasugi, has more than 4,300 digits.
+FIRST_REFUSED_MAX = {
+    "corollary": ("corollary_table", 1715, lambda n: lucas(12 * n + 4)),
+    "theorem": ("theorem_table", 10288, lambda n: lucas(2 * n) - 2),
+    "murasugi": ("murasugi_check", 10288, lambda n: lucas(2 * n) - 2),
+}
+
+
+@pytest.mark.parametrize("command", list(FIRST_REFUSED_MAX))
+def test_cli_refuses_a_max_past_the_digit_limit_before_any_work(
+    capsys, monkeypatch, default_digit_limit, command
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    table, n, largest = FIRST_REFUSED_MAX[command]
+    monkeypatch.setattr(cli, table, refuse)
+    for flags in ((), ("--print-convention",)):
+        code, out, err = run_cli(capsys, command, "--max", str(n), *flags)
+        assert (code, out) == (2, "")
+        assert f"--max {n}" in err and "4300 digits" in err
+    # The last accepted --max passes the check, and its largest value prints.
+    monkeypatch.setattr(cli, table, lambda *args, **kwargs: [])
+    code, _, err = run_cli(capsys, command, "--max", str(n - 1), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert len(str(largest(n - 1))) == 4300
+
+
+def test_cli_refuses_the_corollary_cap_at_once_in_a_subprocess(default_digit_limit):
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "braidinv",
+         "corollary", "--max", "1715"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "--max 1715" in done.stderr and "4300 digits" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_refuses_a_max_of_thousands_of_digits(capsys, default_digit_limit):
+    # Too large for a float, so the digit estimate must not convert it.
+    code, out, err = run_cli(capsys, "corollary", "--max", "9" * 4000)
+    assert (code, out) == (2, "")
+    assert "4300 digits" in err
+
+
+_COMMANDS = (None, "invariants", "theorem", "recurrence", "corollary", "murasugi", "nonsense")
+
+
+@st.composite
+def cli_argvs(draw):
+    # Subcommands, their flags at and around their bounds, malformed tokens,
+    # and the common flags before or after the subcommand; at most --max 5
+    # and 8 letters, so no argv costs more than a few tenths of a second.
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    command = pick(*_COMMANDS)
+    args = []
+    if command == "invariants":
+        if pick(True, True, False):
+            tokens = st.sampled_from(("1", "-1", "2", "-2", "3", "-3", "1", "-1", "0", "x", "#"))
+            args += ["--braid", " ".join(draw(st.lists(tokens, max_size=8)))]
+        cap = MAX_INVARIANT_LETTERS
+        power = pick(None, "-1", "0", "1", "2", str(cap), str(cap + 1), "two")
+        strands = pick(None, "-1", "0", "1", "2", "3", "4", "64", "65", "")
+        args += ["--power", power] if power else []
+        args += ["--strands", strands] if strands is not None else []
+    elif command in ("theorem", "recurrence", "corollary", "murasugi"):
+        if command == "recurrence":
+            case = pick(None, "0", "1", "2", "3")
+            args += ["--case", case] if case else []
+        n_max = pick(None, "-1", "0", "1", "2", "5", "x", "")
+        args += ["--max", n_max] if n_max is not None else []
+    common = []
+    if draw(st.booleans()):
+        common.append(["--format", pick("table", "csv", "json", "xml")])
+    if draw(st.booleans()):
+        common.append(["--seed", pick("0", "-1", "7", "x")])
+    if draw(st.booleans()):
+        common.append(["--print-convention"])
+    before, after = [], []
+    for flag in common:
+        (before if draw(st.booleans()) else after).extend(flag)
+    extra = pick(*(None,) * 6, "--max", "--bogus", "extra")
+    return before + ([command] if command else []) + args + after + ([extra] if extra else [])
+
+
+@settings(max_examples=180, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_cli_fuzz_exit_codes_and_stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_console_script_installed():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -1095,6 +1096,41 @@ def test_skein_matches_burau_route_on_wide_knots():
     for strands, length in cases + [(7, 66)]:
         w = _random_knot(rng, strands, length)
         assert conway_skein(w, max_letters=length) == conway_of_closure(w)
+
+
+def test_skein_matches_the_torus_link_closed_form_at_and_past_64_bit_slots():
+    # The closure of s1^n is the (2, n) torus link, with Conway polynomial
+    # sum_k C(n-1-k, k) z^(n-1-2k); its mirror s1^-n has nabla(-z).  From n =
+    # 56 on, the skein route's slots are wider than 64 bits.
+    for n in range(1, 81):
+        coeffs = [0] * n
+        for k in range((n - 1) // 2 + 1):
+            coeffs[n - 1 - 2 * k] = math.comb(n - 1 - k, k)
+        nabla = ConwayPolynomial(coeffs)
+        assert conway_skein(BraidWord((1,) * n, 2), max_letters=n) == nabla, n
+        mirrored = ConwayPolynomial([(-1) ** d * c for d, c in enumerate(coeffs)])
+        assert conway_skein(BraidWord((-1,) * n, 2), max_letters=n) == mirrored, n
+
+
+def test_skein_gives_zero_on_split_links_and_no_constant_term_on_links():
+    rng = random.Random(61)
+    for _ in range(40):
+        # No s2 on 4 strands: strands {0, 1} and {2, 3} close apart.
+        letters = tuple(rng.choice((1, -1, 3, -3)) for _ in range(rng.randint(0, 10)))
+        assert conway_skein(BraidWord(letters, 4)).is_zero(), letters
+    links = 0
+    while links < 40:
+        strands = rng.choice((2, 3, 4))
+        alphabet = [g for i in range(1, strands) for g in (i, -i)]
+        w = BraidWord(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10))), strands)
+        components = closure_components(w)
+        if components == 1:
+            continue
+        links += 1
+        nabla = conway_skein(w)
+        assert nabla.coefficient(0) == 0, w
+        # Every power of z present has the parity of components - 1.
+        assert all(d % 2 == (components - 1) % 2 for d, _ in nabla.terms()), w
 
 
 def test_skein_is_fast_on_long_two_strand_knots():
