@@ -476,9 +476,13 @@ def _invariants_word(ns: argparse.Namespace) -> BraidWord:
             f"the word is on {word.strands} strands,"
             f" more than the cap of {MAX_INVARIANT_STRANDS}"
         )
-    if len(word) * ns.power > MAX_INVARIANT_LETTERS:
+    letters = len(word) * ns.power
+    if letters > MAX_INVARIANT_LETTERS:
+        # The count is named only while short: a --power of thousands of
+        # digits makes it longer than the interpreter converts to text.
+        count = f"{letters} letters" if letters < 10**18 else "at least 10^18 letters"
         raise ValueError(
-            f"the word repeated {ns.power} times has {len(word) * ns.power} letters,"
+            f"the word repeated --power times has {count},"
             f" more than the cap of {MAX_INVARIANT_LETTERS}"
         )
     return power(word, ns.power)

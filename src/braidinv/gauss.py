@@ -14,8 +14,11 @@ endpoint met on circle 0, so position 0 is immediately after it.
 A diagram is stored as its endpoints, circle by circle, plus one sign per
 arrow, and nothing else.  Rebasing rotates circle 0 and shares the signs,
 and the pattern count, canonical codes, writhe and arrow deletion read the
-endpoints and signs directly.  Every diagram is checked when it is built,
-by one walk over its endpoints that stops at the first fault.
+endpoints and signs directly.  A diagram built from outside data (the
+constructor, the closure of a braid word, unpickling or copying) is checked
+by one walk over its endpoints that stops at the first fault.  A rotation
+of circle 0 or an arrow deletion of a checked diagram is valid by
+construction, so `rebase` and `delete_arrows` skip that walk.
 
 Canonical codes label arrows in order of first visit from the base point and
 list one label/sign/T-or-H triple per endpoint.  The strings are stable
@@ -53,8 +56,11 @@ class GaussDiagram:
 
     The constructor turns both fields into tuples and checks them: each
     arrow index is in range, each arrow has exactly one tail and one head
-    endpoint, and each sign is +1 or -1.  Diagrams are immutable, and equal
-    when their circles and signs are equal.
+    endpoint, and each sign is +1 or -1.  `rebase` and `delete_arrows`
+    build their results from a checked diagram without the check, since a
+    rotation of circle 0 or an arrow deletion keeps one tail and one head
+    per arrow.  Diagrams are immutable, and equal when their circles and
+    signs are equal.
     """
 
     endpoints: tuple[tuple[tuple[int, bool], ...], ...]
@@ -78,6 +84,16 @@ class GaussDiagram:
     def __reduce__(self):
         # Unpickling and copying go through the checking constructor.
         return GaussDiagram, (self.endpoints, self.signs)
+
+
+def _derived(endpoints, signs) -> GaussDiagram:
+    # A diagram that takes ownership of the tuples `endpoints` (of tuples)
+    # and `signs`, unchecked: the caller derives them from a checked diagram
+    # in a way that keeps one tail and one head per arrow.
+    g = object.__new__(GaussDiagram)
+    object.__setattr__(g, "endpoints", endpoints)
+    object.__setattr__(g, "signs", signs)
+    return g
 
 
 def _check(endpoints, signs) -> None:
@@ -152,12 +168,14 @@ def delete_arrows(g: GaussDiagram, which: Iterable[int]) -> GaussDiagram:
             raise ValueError(f"arrow index {idx} out of range 0..{g.arrow_count - 1}")
     kept = [i for i in range(g.arrow_count) if i not in doomed]
     relabel = {old: new for new, old in enumerate(kept)}
+    # Both ends of each doomed arrow go and the kept arrows are renumbered
+    # densely, so each still has one tail and one head: no check needed.
     circles = tuple(
         tuple((relabel[idx], is_head) for idx, is_head in circle if idx not in doomed)
         for circle in g.endpoints
     )
     signs = tuple(g.signs[old] for old in kept)
-    return GaussDiagram(circles, signs)
+    return _derived(circles, signs)
 
 
 def gap_count(g: GaussDiagram) -> int:
@@ -179,7 +197,7 @@ def rebase(g: GaussDiagram, gap: int) -> GaussDiagram:
     if gap == 0:
         return g
     circle = g.endpoints[0]
-    return GaussDiagram((circle[gap:] + circle[:gap],) + g.endpoints[1:], g.signs)
+    return _derived((circle[gap:] + circle[:gap],) + g.endpoints[1:], g.signs)
 
 
 def canonical_code(g: GaussDiagram) -> str:

@@ -473,10 +473,6 @@ class ConwayPolynomial(LaurentPolynomial):
         """Degree in z, or -1 for the zero polynomial."""
         return self._low + len(self._coeffs) - 1
 
-    def times_z(self) -> "ConwayPolynomial":
-        # A positive shift cannot reach a negative power, so skip the check.
-        return LaurentPolynomial.shifted(self, 1)
-
     def shifted(self, offset: int) -> "ConwayPolynomial":
         return _in_z(super().shifted(offset))
 

@@ -197,6 +197,16 @@ def test_cli_invariants_caps_the_powered_word(capsys):
     assert "Traceback" not in done.stderr
 
 
+def test_cli_invariants_refuses_a_power_too_long_to_print(capsys):
+    # 12 x (10^4299 - 1) has 4,301 digits, past the interpreter's default
+    # integer-string limit, so the refusal must not print the letter count.
+    code, out, err = run_cli(capsys, "invariants", "--braid", "1 2 1 2 1 2 1 2 1 2 1 2",
+                             "--power", "9" * 4299)
+    assert code == 2 and out == ""
+    assert f"cap of {MAX_INVARIANT_LETTERS}" in err
+    assert "Exceeds the limit" not in err
+
+
 def test_cli_invariants_caps_the_strand_count(capsys):
     # At the cap the closure is walked and found to be a link (exit 1).
     cap = MAX_INVARIANT_STRANDS

@@ -24,6 +24,7 @@ from braidinv import (
     rebase,
     writhe,
 )
+from braidinv import gauss
 
 TREFOIL = BraidWord((1, 1, 1), 2)
 FAMILY = BraidWord((1, -2), 3)
@@ -353,6 +354,29 @@ def test_diagrams_keep_repr_pickle_and_equality():
     assert g != from_braid_closure(BraidWord((-1, -1, -1), 2))
     assert g != g.endpoints
     assert len({g, rebase(g, 0), from_braid_closure(TREFOIL)}) == 1
+
+
+def test_only_diagrams_from_outside_data_run_the_check(monkeypatch):
+    # Rotations and arrow deletions of a checked diagram are valid by
+    # construction; test_built_diagrams_match_the_tails_and_heads_oracle
+    # rebuilds them through the checking constructor.
+    g = from_braid_closure(power(FAMILY, 3))
+    data = pickle.dumps(g)
+
+    def refuse(endpoints, signs):
+        raise AssertionError("checked")
+
+    monkeypatch.setattr(gauss, "_check", refuse)
+    assert rebase(g, 3).endpoints[0] == g.endpoints[0][3:] + g.endpoints[0][:3]
+    assert delete_arrows(g, {0, 1}).arrow_count == g.arrow_count - 2
+    for build in (
+        lambda: GaussDiagram(g.endpoints, g.signs),
+        lambda: from_braid_closure(FAMILY),
+        lambda: pickle.loads(data),
+        lambda: copy.copy(g),
+    ):
+        with pytest.raises(AssertionError, match="^checked$"):
+            build()
 
 
 def locate_oracle(endpoints, signs) -> None:
