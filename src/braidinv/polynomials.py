@@ -42,18 +42,17 @@ LaurentPolynomial, so entries that outgrow 64 bits leave the ring one by
 one and the result is decoded once.  On 7 or 8 strands and 80 letters the
 whole elimination stays in the ring.
 
-LaurentPolynomial itself takes word slots for a product whose shorter
-operand has at least WORD_MIN_TERMS terms and whose bound is below 2^63,
-and for an exact quotient of at least WORD_MIN_TERMS terms, accepted as
-above with a guess 2^q for max|Q| made from the sizes of N and of D's end
-coefficients.  Any other case takes the double loop, byte slots or long
-division, and a divisor +-t^e is a shift.  A Conway polynomial is a
-Laurent polynomial in z with the same storage and arithmetic, kept apart
-from polynomials in t by its class.
+LaurentPolynomial's exact quotient is long division, and a divisor +-t^e
+is a shift.  The ladder 1 + t + ... + t^(k-1) is stripped from det(M - I)
+by a recurrence of additions alone, read from (1 - t) N = (1 - t^k) Q.  A
+Conway polynomial is a Laurent polynomial in z with the same storage and
+arithmetic, kept apart from polynomials in t by its class.
 """
 
+import operator
 import sys
 from array import array
+from itertools import accumulate
 from operator import add, sub
 
 from .braids import BraidWord, closure_components
@@ -78,14 +77,6 @@ __all__ = [
 # 2-core x86-64 machine, CPython 3.11: about 16 terms at 12-bit
 # coefficients, 16-24 at 200 bits, 20-32 at 1,400 bits.
 KRONECKER_MIN_TERMS = 20
-
-# Products whose shorter operand has at least this many terms, and exact
-# quotients of at least this many terms, go through 64-bit word slots when
-# their coefficients fit.  Measured crossover with the double loop and with
-# long division on a 2-core x86-64 machine, CPython 3.11: 5-6 terms at
-# 6-20-bit coefficients.  braid_invariants on 7- and 8-strand knots of 80
-# letters takes the same time within 8% for any value from 4 to 12.
-WORD_MIN_TERMS = 8
 
 
 def _format_terms(terms, var: str) -> str:
@@ -182,12 +173,6 @@ def _product(a: list, b: list) -> list:
     # Coefficient list of the product of two nonzero coefficient lists.
     if len(a) > len(b):
         a, b = b, a
-    # A product coefficient is a sum of at most len(a) products, so its
-    # absolute value is at most `bound`.
-    if len(a) >= WORD_MIN_TERMS:
-        bound = max(max(a), -min(a)) * max(max(b), -min(b)) * len(a)
-        if bound < 1 << 63:
-            return _unwords(_words(a) * _words(b), len(a) + len(b) - 1)
     if len(a) < KRONECKER_MIN_TERMS:
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -195,7 +180,9 @@ def _product(a: list, b: list) -> list:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return out
-    # A slot of `width` bytes holds `bound` with a sign bit to spare.
+    # A product coefficient is a sum of at most len(a) products, so its
+    # absolute value is at most `bound`, and a slot of `width` bytes holds
+    # that with a sign bit to spare.
     bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
@@ -215,34 +202,15 @@ def _unbytes(value: int, width: int, size: int) -> list:
     ]
 
 
-def _word_quotient(num: list, div: list):
-    # The exact quotient's coefficients from one divmod at u = 2^64, or None
-    # when that proves nothing.  With q_bits a guess at the quotient's size,
-    # digits Q below 2^q_bits make R = N - Q D a polynomial whose
-    # coefficients are below max|N| + 2^q_bits |D|_1 < 2^63 in size; a zero
-    # remainder means R(2^64) = 0, and such an R must be 0, so N = Q D.
-    top = max(max(num), -min(num))
-    q_bits = max(0, top.bit_length() - min(abs(div[0]), abs(div[-1])).bit_length() + 9)
-    if top + (sum(map(abs, div)) << q_bits) >= 1 << 63:
-        return None
-    packed, rest = divmod(_words(num), _words(div))
-    if rest:
-        raise ValueError("not exactly divisible")
-    digits = _unwords(packed, len(num) - len(div) + 1)
-    if digits is None or max(max(digits), -min(digits)) >> q_bits:
-        return None
-    return digits
-
-
 class LaurentPolynomial:
     """Immutable integer Laurent polynomial in one variable t.
 
     Stored densely: the lowest exponent and the list of coefficients from
     there to the highest exponent, with no zero at either end (an empty list
     for 0).  Memory and time therefore grow with the exponent range, not the
-    number of nonzero terms.  Products and exact quotients of at least
-    WORD_MIN_TERMS terms whose coefficients fit below 2^63 use 64-bit word
-    slots; other products past KRONECKER_MIN_TERMS terms use byte slots.
+    number of nonzero terms.  Products past KRONECKER_MIN_TERMS terms use
+    byte slots.  Exponents and coefficients must be integers: anything else
+    raises TypeError.
     """
 
     __slots__ = ("_low", "_coeffs")
@@ -251,7 +219,8 @@ class LaurentPolynomial:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
         merged: dict[int, int] = {}
         for exp, coeff in items:
-            merged[exp] = merged.get(exp, 0) + coeff
+            exp = operator.index(exp)
+            merged[exp] = merged.get(exp, 0) + operator.index(coeff)
         nonzero = {exp: coeff for exp, coeff in merged.items() if coeff}
         low = min(nonzero, default=0)
         dense = [0] * (max(nonzero, default=low - 1) - low + 1)
@@ -416,10 +385,6 @@ class LaurentPolynomial:
             # Division by +-t^e is a shift.
             coeffs = self._coeffs if div[0] == 1 else [-c for c in self._coeffs]
             return _laurent(self.__class__, low, coeffs)
-        if size >= WORD_MIN_TERMS:
-            quotient = _word_quotient(self._coeffs, div)
-            if quotient is not None:
-                return _laurent(self.__class__, low, quotient)
         num = self._coeffs[:]
         quotient = [0] * size
         lead = div[-1]
@@ -731,12 +696,32 @@ def _det_minus_identity(w: BraidWord, m) -> LaurentPolynomial:
     return _plain(determinant_fraction_free([list(map(_in_slots, row)) for row in rows]))
 
 
+def _divide_by_ladder(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    # p / (1 + t + ... + t^(k-1)) from (1 - t) p = (1 - t^k) q: with m the
+    # coefficients of (1 - t) p, q_i = m_i + q_(i-k), a running sum along
+    # each residue class mod k, and the top k entries of m must cancel
+    # q's top k.  Zero comes back as zero, for _normalize_alexander to refuse.
+    coeffs = p._coeffs
+    m = list(map(sub, coeffs + [0], [0] + coeffs))
+    # A nonzero p shorter than the ladder leaves no q, and its m no zero tail.
+    size = max(len(coeffs) - k + 1, 0)
+    q = m[:size]
+    for r in range(k):
+        q[r::k] = accumulate(q[r::k])
+    # m_i + q_(i-k) for i >= size, with q_j = 0 for j < 0.
+    if any(map(add, m[size:], ([0] * k + q)[size:])):
+        raise RuntimeError("det(burau - identity) is not divisible by 1 + t + ... + t^(k-1)")
+    return _laurent(LaurentPolynomial, p._low, q)
+
+
 def alexander_of_closure(w: BraidWord) -> LaurentPolynomial:
     """Alexander polynomial of the closure knot, palindromic with value 1 at t=1.
 
     det(B - I) of the reduced Burau matrix B is taken in closed form on 3
     strands and by fraction-free elimination on any other count; it is then
-    divided exactly by 1 + t + ... + t^(k-1) and normalized by a unit.
+    divided exactly by 1 + t + ... + t^(k-1), by running sums of the
+    coefficients of (1 - t) det(B - I) that take no multiplication, and
+    normalized by a unit.
     """
     components = closure_components(w)
     if components != 1:
@@ -744,14 +729,7 @@ def alexander_of_closure(w: BraidWord) -> LaurentPolynomial:
     if w.strands == 1:
         return LaurentPolynomial({0: 1})
     det = _det_minus_identity(w, reduced_burau(w))
-    ladder = _laurent(LaurentPolynomial, 0, [1] * w.strands)
-    try:
-        quotient = det.exact_div(ladder)
-    except ValueError as exc:
-        raise RuntimeError(
-            "det(burau - identity) is not divisible by 1 + t + ... + t^(k-1)"
-        ) from exc
-    return _normalize_alexander(quotient)
+    return _normalize_alexander(_divide_by_ladder(det, w.strands))
 
 
 def conway_from_alexander(alexander: LaurentPolynomial) -> ConwayPolynomial:

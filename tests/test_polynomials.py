@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -44,6 +43,22 @@ def test_laurent_construction_merges_terms():
     p = LaurentPolynomial([(1, 2), (1, -2), (0, 3)])
     assert p == LaurentPolynomial({0: 3})
     assert LaurentPolynomial().is_zero()
+
+
+def test_laurent_construction_takes_integers_only():
+    # One TypeError at construction, whatever the arithmetic would do later.
+    for build in (
+        lambda: LaurentPolynomial({0: 1.5}),
+        lambda: LaurentPolynomial({1.0: 2}),
+        lambda: LaurentPolynomial([(0, 1), (3, 2.0)]),
+        lambda: ConwayPolynomial((1, 0.5)),
+        lambda: ConwayPolynomial((1, "2")),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert LaurentPolynomial({True: True}) == T
+    assert ConwayPolynomial((True, 0, -1)) == ConwayPolynomial((1, 0, -1))
+    assert type(LaurentPolynomial({0: True}).coefficient(0)) is int
 
 
 def test_laurent_constants_hash_as_the_ints_they_equal():
@@ -141,18 +156,11 @@ def test_exact_div_refuses_the_other_class():
     assert determinant_fraction_free(matrix) == (T - 1) ** 2 * (T + 2)
 
 
-def long_division(p, q):
-    # p.exact_div(q) with the word slots switched off, or the ValueError message.
-    with mock.patch.object(polynomials, "WORD_MIN_TERMS", sys.maxsize):
-        try:
-            return p.exact_div(q)
-        except ValueError as exc:
-            return str(exc)
-
-
-def takes_word_slots(p, q):
-    # Whether p.exact_div(q) is decided by one packed divmod.
-    return polynomials._word_quotient(p._coeffs, q._coeffs) is not None
+def division_message(p, q):
+    # The ValueError message of p.exact_div(q), which must raise.
+    with pytest.raises(ValueError) as raised:
+        p.exact_div(q)
+    return str(raised.value)
 
 
 @st.composite
@@ -170,28 +178,14 @@ def test_exact_div_returns_the_quotient_on_both_paths(q, d, where):
     n = q * d
     assert n.exact_div(d) == q
     assert n // d == q
-    assert long_division(n, d) == q
     if n.is_zero():
         return
     # One coefficient changed leaves no quotient, with the same message.
     changed = n + LaurentPolynomial({n.min_exp + where % len(n._coeffs): 1})
     assume(len(d._coeffs) > 1 or abs(d._coeffs[0]) > 1)
     with pytest.raises(ValueError) as raised:
-        changed.exact_div(d)
-    assert str(raised.value) == long_division(changed, d)
-
-
-def test_exact_div_takes_word_slots_on_word_sized_quotients():
-    rng = random.Random(19)
-    for _ in range(50):
-        q = LaurentPolynomial(
-            {i - 5: rng.randint(-(2**20), 2**20) for i in range(rng.randint(8, 40))})
-        d = LaurentPolynomial({i: rng.randint(1, 2**20) for i in range(rng.randint(2, 30))})
-        n = q * d
-        assert takes_word_slots(n, d)
-        assert n // d == q
-        with pytest.raises(ValueError, match="^not exactly divisible$"):
-            (n + 1) // d
+        changed // d
+    assert str(raised.value) == division_message(changed, d)
 
 
 def test_exact_div_by_a_signed_monomial_is_a_shift():
@@ -206,43 +200,26 @@ def test_exact_div_by_a_signed_monomial_is_a_shift():
     message = "^a Conway polynomial has no negative powers of z$"
     with pytest.raises(ValueError, match=message):
         c.exact_div(z ** 3)
-    # A quotient of word size that reaches z^-1 raises as well.
+    # A long quotient that reaches z^-1 raises as well.
     quotient = ConwayPolynomial(tuple(range(1, 11)))
     divisor = ConwayPolynomial((2, 3, 1))
     product = quotient * divisor
-    assert takes_word_slots(product, divisor.shifted(1))
     with pytest.raises(ValueError, match=message):
         product.exact_div(divisor.shifted(1))
     assert product.exact_div(divisor) == quotient
 
 
-def test_exact_div_at_the_word_bound():
-    # D = [2^11, top, rest] and Q = 1 + t^7 put D twice into N without
-    # overlap, so max|N| is D's middle coefficient, the quotient's size guess
-    # is 33 - 12 + 9 = 30 bits, and max|N| + 2^30 |D|_1 is 2^63 - 1 for
-    # top = 7 * 2^30 - 1 and 2^63 for top = 7 * 2^30.
-    q = ONE + T ** 7
-    for top, word in ((7 * 2**30 - 1, True), (7 * 2**30, False)):
-        d = LaurentPolynomial({0: 2**11, 1: top, 2: 2**33 - 7 - top - 2**11})
-        n = q * d
-        bound = max(abs(c) for _, c in n.terms()) + (2**30) * sum(c for _, c in d.terms())
-        assert bound == 2**63 - 1 + (not word)
-        assert takes_word_slots(n, d) is word
-        assert n // d == q == long_division(n, d)
-
-
 def test_exact_div_falls_back_when_a_quotient_digit_is_too_large():
     # The tent 1, 2, ..., h, ..., 2, 1 times (1 - t)^2 is 1 - 2 t^h + t^(2h):
-    # max|N| = 2 guesses quotient digits below 2^10, so a tent of height
-    # 1023 is proven from its divmod and one of height 1024 is not.
+    # quotient digits up to h come out of a dividend whose digits are at
+    # most 2.
     d = (ONE - T) ** 2
-    for height, word in ((1023, True), (1024, False)):
+    for height in (1023, 1024):
         width = 2 * height - 1
         tent = LaurentPolynomial({i: min(i + 1, width - i) for i in range(width)})
         n = tent * d
         assert n == ONE - 2 * T ** height + T ** (2 * height)
-        assert takes_word_slots(n, d) is word
-        assert n // d == tent == long_division(n, d)
+        assert n // d == tent
 
 
 def dict_product(p, q):
@@ -273,7 +250,7 @@ def test_product_matches_the_double_loop(p, q):
     assert (p * q).terms() == dict_product(p, q)
 
 
-def test_product_at_the_slot_bound(monkeypatch):
+def test_product_at_the_slot_bound():
     # Every coefficient -2^b: the middle product coefficient is exactly
     # min(len) * 4^b, the bound the slot width is computed from.  With a
     # power-of-two min(len), some b puts the bound's top bit on a byte
@@ -287,25 +264,6 @@ def test_product_at_the_slot_bound(monkeypatch):
             product = p * q
             assert product.terms() == dict_product(p, q)
             assert max(c for _, c in product.terms()) == min(n, m) * 4**b
-    # Word slots: n terms +-1 against 3n terms -y.  The middle product
-    # coefficient is n * y, the bound word slots are chosen by.  For each n
-    # the largest bound below 2^63 takes word slots from WORD_MIN_TERMS
-    # terms on, and the smallest at or above it never does.  49 divides
-    # 2^63 - 1 and 64 divides 2^63, so those bounds are hit exactly.
-    calls = []
-    words = polynomials._words
-    monkeypatch.setattr(polynomials, "_words", lambda c: calls.append(1) or words(c))
-    threshold = polynomials.WORD_MIN_TERMS
-    for n in (threshold - 1, threshold, 49, 64):
-        for y, fits in ((2**63 - 1) // n, True), (-(-(2**63) // n), False):
-            for sign in (1, -1):
-                p = LaurentPolynomial({i - n: sign for i in range(n)})
-                q = LaurentPolynomial({i: -y for i in range(3 * n)})
-                calls.clear()
-                product = p * q
-                assert product.terms() == dict_product(p, q)
-                assert max(abs(c) for _, c in product.terms()) == n * y
-                assert bool(calls) == (fits and n >= threshold)
 
 
 # The word-slot ring that carries the Bareiss determinant of knots on 4 or
@@ -366,7 +324,7 @@ def test_word_slots_decode_to_the_laurent_results(p, q, where):
     changed = n + LaurentPolynomial({n.min_exp + where % len(n._coeffs): 1})
     with pytest.raises(ValueError) as raised:
         in_slots(changed) // b
-    assert str(raised.value) == long_division(changed, q)
+    assert str(raised.value) == division_message(changed, q)
 
 
 def test_word_slot_bounds_at_2_to_the_63():
@@ -941,6 +899,46 @@ def test_alexander_rejects_links():
         alexander_of_closure(BraidWord((1,), 3))
     with pytest.raises(ValueError, match="^closure has 3 components, not a knot$"):
         alexander_of_closure(power(FAMILY, 3))
+
+
+LADDER_MESSAGE = "^det\\(burau - identity\\) is not divisible by 1 \\+ t \\+ \\.\\.\\. \\+ t\\^\\(k-1\\)$"
+
+
+def test_ladder_division_recovers_the_quotient():
+    # Q of 1-120 terms, some shorter than the ladder, with coefficients of
+    # 2 to 70 bits, times 1 + t + ... + t^(k-1); one changed coefficient of
+    # the product leaves no quotient.
+    rng = random.Random(67)
+    for _ in range(400):
+        k = rng.randint(2, 64)
+        bits = rng.choice((2, 8, 30, 62, 63, 64, 70))
+        size = rng.randint(1, 120)
+        coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(size)]
+        coeffs[0] = coeffs[-1] = rng.choice((-1, 1)) << (bits - 1)
+        q = LaurentPolynomial({i - 40: c for i, c in enumerate(coeffs)})
+        n = q * LaurentPolynomial({i: 1 for i in range(k)})
+        assert polynomials._divide_by_ladder(n, k) == q
+        where = n.min_exp + rng.randrange(n.max_exp - n.min_exp + 1)
+        changed = n + LaurentPolynomial({where: rng.choice((-1, 1, 2**bits))})
+        with pytest.raises(RuntimeError, match=LADDER_MESSAGE):
+            polynomials._divide_by_ladder(changed, k)
+
+
+def test_ladder_division_refuses_what_the_ladder_cannot_divide():
+    # Shorter than the ladder (so no quotient at all), or a multiple of the
+    # wrong ladder.
+    for p, k in ((ONE, 2), (3 * ONE, 3), (T - 1, 5), (-ONE, 64), (T + 1, 3),
+                 (T ** 5 - T ** 3, 3)):
+        with pytest.raises(RuntimeError, match=LADDER_MESSAGE):
+            polynomials._divide_by_ladder(p, k)
+    assert polynomials._divide_by_ladder(LaurentPolynomial(), 3).is_zero()
+
+
+def test_a_vanishing_determinant_is_refused_after_the_ladder(monkeypatch):
+    monkeypatch.setattr(polynomials, "_det_minus_identity", lambda w, m: LaurentPolynomial())
+    for w in (TREFOIL, power(FAMILY, 2), BraidWord((1, 2, 3), 4)):
+        with pytest.raises(RuntimeError, match="^vanishing determinant for a knot closure$"):
+            alexander_of_closure(w)
 
 
 def test_alexander_of_mirror_is_unchanged():
