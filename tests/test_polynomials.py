@@ -137,6 +137,16 @@ def test_laurent_exact_div():
         (T + 1).exact_div(ladder)
     with pytest.raises(ZeroDivisionError):
         T.exact_div(LaurentPolynomial())
+    # The tent 1, 2, ..., h, ..., 2, 1 times (1 - t)^2 is 1 - 2 t^h + t^(2h):
+    # quotient digits up to h come out of a dividend whose digits are at
+    # most 2.
+    d = (ONE - T) ** 2
+    for height in (1023, 1024):
+        width = 2 * height - 1
+        tent = LaurentPolynomial({i: min(i + 1, width - i) for i in range(width)})
+        n = tent * d
+        assert n == ONE - 2 * T ** height + T ** (2 * height)
+        assert n // d == tent
 
 
 def test_exact_div_refuses_the_other_class():
@@ -173,7 +183,7 @@ def word_sized(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(word_sized(), word_sized(), st.integers(0, 10**6))
-def test_exact_div_returns_the_quotient_on_both_paths(q, d, where):
+def test_exact_div_returns_the_quotient_and_refuses_a_changed_dividend(q, d, where):
     assume(not d.is_zero())
     n = q * d
     assert n.exact_div(d) == q
@@ -207,19 +217,6 @@ def test_exact_div_by_a_signed_monomial_is_a_shift():
     with pytest.raises(ValueError, match=message):
         product.exact_div(divisor.shifted(1))
     assert product.exact_div(divisor) == quotient
-
-
-def test_exact_div_falls_back_when_a_quotient_digit_is_too_large():
-    # The tent 1, 2, ..., h, ..., 2, 1 times (1 - t)^2 is 1 - 2 t^h + t^(2h):
-    # quotient digits up to h come out of a dividend whose digits are at
-    # most 2.
-    d = (ONE - T) ** 2
-    for height in (1023, 1024):
-        width = 2 * height - 1
-        tent = LaurentPolynomial({i: min(i + 1, width - i) for i in range(width)})
-        n = tent * d
-        assert n == ONE - 2 * T ** height + T ** (2 * height)
-        assert n // d == tent
 
 
 def dict_product(p, q):
@@ -802,6 +799,61 @@ def wide_braid_words(draw):
 @example(BraidWord((-4,) * 40, 9))  # one column, far negative powers of t
 def test_reduced_burau_reads_every_entry_back_out_of_the_stacked_columns(w):
     assert reduced_burau(w) == tuple(map(tuple, generator_product(w)))
+
+
+def l1_bounds(w: BraidWord):
+    # The largest column l1 bound after each letter: a new column's bound is
+    # the sum of its own and its neighbours', from 1 for the identity.
+    norms = [1] * (w.strands - 1)
+    for letter in w.letters:
+        j = abs(letter) - 1
+        norms[j] = sum(norms[max(j - 1, 0) : j + 2])
+        yield max(norms)
+
+
+def test_packed_burau_at_byte_boundaries_of_the_slot_width():
+    # W = 8 ceil((bits + 1) / 8) for a bound of `bits` bits: bits = 8m - 1
+    # fills the slots to their sign bit, bits = 8m leaves a byte to spare.
+    rows = {7: [], 0: []}
+    for n in range(6, 50):
+        bits = max(l1_bounds(power(FAMILY, n))).bit_length()
+        if bits % 8 in rows and bits > 8:
+            rows[bits % 8].append(n)
+    assert all(len(ns) >= 2 for ns in rows.values()), rows
+    for n in rows[7][:2] + rows[0][:2] + rows[7][-1:] + rows[0][-1:]:
+        w = power(FAMILY, n)
+        assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), n
+
+
+def test_packed_burau_on_long_random_words():
+    rng = random.Random(29)
+    for strands, length, count in ((3, 150, 12), (8, 80, 4)):
+        for _ in range(count):
+            letters = tuple(
+                rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
+            )
+            w = BraidWord(letters, strands)
+            assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(braid_words(), wide_braid_words()), st.integers(1, 12))
+def test_reduced_burau_hands_over_to_laurent_columns_mid_word(w, cap):
+    # The packed columns are decoded before the first letter whose bound
+    # passes the cap, and the rest of the word runs on Laurent columns.
+    tails = []
+    apply_letters = polynomials._apply_letters
+
+    def spy(columns, letters, size):
+        tails.append(letters)
+        apply_letters(columns, letters, size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_PACKED_MAX_BITS", cap)
+        patch.setattr(polynomials, "_apply_letters", spy)
+        assert reduced_burau(w) == tuple(map(tuple, generator_product(w)))
+    past = [i for i, bound in enumerate(l1_bounds(w)) if bound.bit_length() > cap]
+    assert tails == [w.letters[past[0] if past else len(w.letters) :]]
 
 
 def test_reduced_burau_respects_braid_relations():
