@@ -137,6 +137,9 @@ def test_laurent_exact_div():
         (T + 1).exact_div(ladder)
     with pytest.raises(ZeroDivisionError):
         T.exact_div(LaurentPolynomial())
+
+
+def test_exact_div_falls_back_when_a_quotient_digit_is_too_large():
     # The tent 1, 2, ..., h, ..., 2, 1 times (1 - t)^2 is 1 - 2 t^h + t^(2h):
     # quotient digits up to h come out of a dividend whose digits are at
     # most 2.
