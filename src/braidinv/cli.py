@@ -78,6 +78,20 @@ def last_block_arrows(n: int) -> range:
     return range(2 * n - 6, 2 * n)
 
 
+def _lucas_values(indices):
+    """Yield L(m) for each m of an increasing sequence of indices, in one pass.
+
+    The tables read many Lucas values in increasing order; `lucas` walks the
+    sequence from L(1) on every call, which would make them quadratic.
+    """
+    m, previous, value = 1, 2, 1
+    for index in indices:
+        while m < index:
+            previous, value = value, previous + value
+            m += 1
+        yield value
+
+
 def random_knot_words(
     rng: random.Random, count: int, max_len: int = 10, strands: int = 3
 ) -> list[BraidWord]:
@@ -158,12 +172,13 @@ def theorem_table(n_max: int) -> list[TheoremRow]:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     rows = []
-    for n in family_exponents(n_max):
+    exponents = family_exponents(n_max)
+    for n, lucas_2n in zip(exponents, _lucas_values(2 * n for n in exponents)):
         w = family_word(n)
         rec = _knot_record(w)
         arf_gauss = rec.c2 % 2
         arf_poly = rec.conway.coefficient(2) % 2
-        pred = lucas(2 * n) - 2
+        pred = lucas_2n - 2
         expected_arf = 1 if n % 2 == 0 else 0
         rows.append(
             TheoremRow(
@@ -301,9 +316,12 @@ def corollary_table(n_max: int) -> list[CorollaryRow]:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     rows = []
+    values = _lucas_values(
+        12 * n + offset for n in range(1, n_max + 1) for offset, _ in _COROLLARY_FAMILIES
+    )
     for n in range(1, n_max + 1):
         for offset, label in _COROLLARY_FAMILIES:
-            value = lucas(12 * n + offset)
+            value = next(values)
             res = residue_mod8(value)
             res_minus2 = residue_mod8(value - 2)
             if abs(offset) == 2:

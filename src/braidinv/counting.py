@@ -4,11 +4,13 @@ Walking a one-circle diagram from the base point, two arrows interleave when
 their four endpoints alternate.  The pattern of such a pair records, for the
 arrow seen first and the arrow seen second, whether each is met tail first
 or head first, and a matching pair contributes the product of its two signs.
-The count is one walk along the circle in O(n log n) for n arrows, reading
-the endpoints and signs of the diagram: when an arrow's second endpoint is
-reached, a Fenwick tree over the positions holds the signs of the arrows
-already closed that may fill the first slot, each stored at its first
-endpoint.
+The count is one walk along the circle, reading the endpoints and signs of
+the diagram: when an arrow's second endpoint is reached, two Python ints used
+as bitsets hold the signs of the arrows already closed that may fill the
+first slot, each stored as one bit at its first endpoint, one int for each
+sign.  A query is a shift or a mask and a popcount (`int.bit_count`), which
+run in C over 30-bit digits, so the walk costs O(n) Python steps plus
+O(n^2 / 30) digit operations for n arrows.
 
 Only a pattern whose signed count is independent of the base point can
 define a knot invariant.  `calibrate_pattern` pins the convention against
@@ -92,10 +94,20 @@ def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
 
     One walk along the circle opens each arrow's span at its first endpoint
     a and closes it at its second b.  An arrow met `pattern.first` first
-    stores its sign at a when it closes.  An arrow met `pattern.second`
-    first notes at a the sum of the signs stored so far, all of them before
-    a; at b it adds its sign times the stored signs before a less that note.
-    Those are exactly the earlier-opened arrows that closed inside (a, b).
+    stores its sign at a when it closes: bit a is set in `plus` for sign +1
+    and in `minus` for sign -1.  An arrow met `pattern.second` first notes
+    at a the sum of the signs stored so far, all of them before a; at b it
+    adds its sign times the stored signs before a less that note.  Those
+    are exactly the earlier-opened arrows that closed inside (a, b).
+
+    The signs stored before a are the popcounts of the bits below a, or the
+    total less the popcounts of the bits from a up, whichever of the two
+    pieces is shorter: a mask or a shift then touches at most half of the
+    stored bits.  Each store and query costs O(n / 30) digit operations in
+    C, so a diagram of n arrows takes O(n^2 / 30) of them in all.  On the
+    few thousand arrows that the tables build, that is faster than the
+    O(n log n) Python steps of a Fenwick tree; from about ten thousand
+    arrows on it can be slower.
     """
     if g.circle_count != 1:
         raise ValueError("pattern counting needs a one-circle diagram")
@@ -104,14 +116,11 @@ def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
     first_tail = pattern.first == TAIL_FIRST
     second_tail = pattern.second == TAIL_FIRST
     signs = g.signs
-    circle = g.endpoints[0]
-    size = len(circle)
     start = [-1] * len(signs)
     before = [0] * len(signs)
-    # tree[i] sums the stored signs at positions i - (i & -i) .. i - 1.
-    tree = [0] * (size + 1)
-    stored = signed = 0
-    for b, (idx, is_head) in enumerate(circle):
+    # top is the highest position stored so far.
+    plus = minus = stored = signed = top = 0
+    for b, (idx, is_head) in enumerate(g.endpoints[0]):
         a = start[idx]
         if a < 0:
             start[idx] = b
@@ -119,17 +128,20 @@ def count_pattern(g: GaussDiagram, pattern: ArrowPattern) -> PatternCount:
             continue
         sign = signs[idx]
         if is_head == second_tail:
-            inside, i = -before[idx], a
-            while i:
-                inside += tree[i]
-                i &= i - 1
-            signed += sign * inside
+            if a + a < top:
+                below = (1 << a) - 1
+                inside = (plus & below).bit_count() - (minus & below).bit_count()
+            else:
+                inside = stored - (plus >> a).bit_count() + (minus >> a).bit_count()
+            signed += sign * (inside - before[idx])
         if is_head == first_tail:
             stored += sign
-            i = a + 1
-            while i <= size:
-                tree[i] += sign
-                i += i & -i
+            if a > top:
+                top = a
+            if sign > 0:
+                plus |= 1 << a
+            else:
+                minus |= 1 << a
     return PatternCount(signed)
 
 

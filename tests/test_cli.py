@@ -131,6 +131,15 @@ def test_corollary_table_rows():
     assert all(r.ok for r in rows)
 
 
+def test_table_lucas_values_equal_the_lucas_oracle():
+    # The tables step through the sequence once; lucas(m) walks it afresh.
+    offsets = {label: offset for offset, label in cli._COROLLARY_FAMILIES}
+    rows = corollary_table(12)
+    assert [r.lucas_value for r in rows] == [lucas(12 * r.n + offsets[r.family]) for r in rows]
+    rows = theorem_table(40)
+    assert [r.lucas_pred for r in rows] == [lucas(2 * r.n) - 2 for r in rows]
+
+
 def test_cli_invariants_json(capsys):
     code, out, err = run_cli(
         capsys, "invariants", "--braid", "1 -2", "--power", "2", "--format", "json"
@@ -323,6 +332,10 @@ GOLDEN_STDOUT = {
         "ec9f639171108bfe7273d44453505e0198de02e28d1f2685b9687b0b1cbd91ba",
     ("invariants", "--braid", "1 -2", "--power", "200"):
         "e26762d078e6506250756bcef5574e70e28ee628abaaece94bccbdc524372781",
+    ("corollary",):
+        "a25174df51e0fd6ab01fb3316eb942e6c27d9a6af93a5cb06fd389f07c44eb5a",
+    ("corollary", "--max", "300", "--format", "csv"):
+        "1bbbea15b1f675919687c45e5fabf471d6a9190e54bbd64873d98fb8f00dfcce",
 }
 
 

@@ -154,13 +154,23 @@ def test_uncalibrated_patterns_vary_with_base_point():
         assert len(counts) > 1
 
 
-@st.composite
-def knot_words(draw, strands=(2, 6), max_letters=40):
-    """Words of up to `max_letters` letters on the given range of strands, closed up to a knot.
+def _close_to_a_knot(w, pick):
+    """Append pick(i), one of +/-i, for i = 1 .. strands - 1 wherever it joins two circles.
 
     Appending a generator at positions in two different circles joins them,
     so after step i the positions 1..i+1 lie on one circle.
     """
+    for i in range(1, w.strands):
+        joined = BraidWord(w.letters + (pick(i),), w.strands)
+        if closure_components(joined) < closure_components(w):
+            w = joined
+    assert closure_components(w) == 1
+    return w
+
+
+@st.composite
+def knot_words(draw, strands=(2, 6), max_letters=40):
+    """Words of up to `max_letters` letters on the given range of strands, closed up to a knot."""
     strands = draw(st.integers(*strands))
     size = draw(st.integers(0, max_letters - (strands - 1)))
     letters = draw(
@@ -170,13 +180,9 @@ def knot_words(draw, strands=(2, 6), max_letters=40):
             max_size=size,
         )
     )
-    w = BraidWord(tuple(letters), strands)
-    for i in range(1, strands):
-        joined = BraidWord(w.letters + (draw(st.sampled_from((i, -i))),), strands)
-        if closure_components(joined) < closure_components(w):
-            w = joined
-    assert closure_components(w) == 1
-    return w
+    return _close_to_a_knot(
+        BraidWord(tuple(letters), strands), lambda i: draw(st.sampled_from((i, -i)))
+    )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -197,6 +203,25 @@ def test_count_pattern_matches_the_pair_oracle_on_the_family():
             based = rebase(g, gap)
             for pattern in ALL_PATTERNS:
                 assert count_pattern(based, pattern).signed == pair_count(based, pattern)
+
+
+def test_count_pattern_matches_the_pair_oracle_on_long_words():
+    # Up to 800 endpoints: the sign bitsets span many 30-bit digits, and
+    # both the mask and the shift query run on multi-digit ints.
+    rng = random.Random(2611)
+    for strands in range(3, 9):
+        size = rng.randint(100, 400) - (strands - 1)
+        letters = tuple(rng.choice((i, -i)) for i in rng.choices(range(1, strands), k=size))
+        w = _close_to_a_knot(BraidWord(letters, strands), lambda i: rng.choice((i, -i)))
+        g = from_braid_closure(w)
+        for gap in [0, *rng.sample(range(1, gap_count(g)), 2)]:
+            based = rebase(g, gap)
+            for pattern in ALL_PATTERNS:
+                assert count_pattern(based, pattern).signed == pair_count(based, pattern), (
+                    strands,
+                    gap,
+                    pattern,
+                )
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
