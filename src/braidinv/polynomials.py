@@ -24,9 +24,10 @@ the result (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009).
 
 The Burau product runs over the integers the same way, one integer per
-stacked column, with W set by an l1 bound on the columns taken in a first
-pass over the letters; past a cap on that bound the rest of the word runs
-on LaurentPolynomial columns.
+stacked column, with W set by an l1 bound on the columns.  The letters run
+in segments, each ending before the letter whose bound would pass its cap;
+the next segment doubles the cap, and the columns are decoded once and
+packed again at the W that segment needs.
 
 Word slots hold a polynomial whose coefficients stay below 2^63 in size as
 its value at u = 2^64, one signed 64-bit digit per coefficient, packed by
@@ -83,12 +84,14 @@ __all__ = [
 # coefficients, 16-24 at 200 bits, 20-32 at 1,400 bits.
 KRONECKER_MIN_TERMS = 20
 
-# reduced_burau packs its columns into integers while their l1 bound stays
-# within this many bits: every slot is as wide as the largest bound, while a
-# coefficient list pays for each coefficient's own size.  Measured on the
-# same machine against Laurent columns throughout: family^n ran 2.0x as fast
-# at n = 350, 1.3x at 600 and 1.0x at 1,000 with this cap, but 0.9-1.0x at
-# n = 740 with a cap of 1,024 bits.
+# reduced_burau's first segment of letters keeps the columns' l1 bound
+# within this many bits, and each later segment doubles the cap and re-packs
+# the columns at the wider slots it needs: every slot of a segment is as wide
+# as its largest bound, so a short word never pays for a long one's slots.
+# Measured on the same machine against Laurent columns throughout, family^n
+# ran 2.0x as fast at n = 350 with this cap; against Laurent columns past
+# it, re-packing ran family^600 in about 0.8x the time and family^369-400
+# and family^1000 within the run-to-run spread.
 _PACKED_MAX_BITS = 512
 
 
@@ -485,31 +488,6 @@ def _in_z(p: ConwayPolynomial) -> ConwayPolynomial:
     return p
 
 
-def _apply_letters(columns: list, letters, size: int) -> None:
-    # Right-multiply the stacked columns of a product by the generators of
-    # `letters`, in place.
-    zero = _laurent(LaurentPolynomial, 0, [])
-    for letter in letters:
-        j = abs(letter) - 1
-        last = j + 1 == size
-        # A missing neighbour column is zero, and it is never made the
-        # minuend: that would copy and negate the whole column.
-        if letter > 0:
-            # s_i:    t col(i-2) - t col(i-1) + col(i)
-            right = zero if last else columns[j + 1]
-            if j:
-                columns[j] = (columns[j - 1] - columns[j]).shifted(size) + right
-            else:
-                columns[j] = right - columns[j].shifted(size)
-        else:
-            # s_i^-1: col(i-2) - t^-1 col(i-1) + t^-1 col(i)
-            left = columns[j - 1] if j else zero
-            if last:
-                columns[j] = left - columns[j].shifted(-size)
-            else:
-                columns[j] = left + (columns[j + 1] - columns[j]).shifted(-size)
-
-
 def _aligned(a: int, a_low: int, b: int, b_low: int, op, shift: int):
     # op(a, b) on values at u = 2^shift whose lowest exponents are a_low and
     # b_low: the operand with the higher one is moved up to the other's.
@@ -531,65 +509,81 @@ def reduced_burau(w: BraidWord):
     low being a lower bound on its lowest exponent: a letter is then an
     alignment shift and one subtraction, plus one addition where both
     neighbours exist, and t^(+-1) only moves low.  Evaluation at 2^W is a
-    ring map, so only the coefficients read back need to fit.  A pass over
-    the letters first bounds the l1 norm of every column: a new column is a
-    signed sum of at most three, so its norm is at most the sum of theirs,
-    from 1 for the identity.  With W = 8 ceil((b + 1) / 8) for a bound of b
-    bits every coefficient is a signed W-bit digit, and each column is
-    decoded once by its bytes.  A word whose bound would pass
-    _PACKED_MAX_BITS bits is decoded before the letter that passes it, and
-    its remaining letters run on LaurentPolynomial columns, where wide
-    slots would cost more than coefficient lists.
+    ring map, so only the coefficients read back need to fit.
 
-    The rows are read back out of every column at the end.  Returns an
-    h x h grid of LaurentPolynomial in t as a tuple of tuples.
+    The letters run in segments.  A pass over a segment's letters first
+    bounds the l1 norm of every column: a new column is a signed sum of at
+    most three, so its norm is at most the sum of theirs, from 1 for the
+    identity.  With W = 8 ceil((b + 1) / 8) for a bound of b bits every
+    coefficient is a signed W-bit digit.  The first segment's bound stays
+    within _PACKED_MAX_BITS bits, and a segment ends before the letter
+    whose bound would pass its cap, so a short word never pays for the
+    slots of a long one.  The next segment doubles the cap: its columns
+    are decoded by their bytes and packed again at its own W.  A letter
+    at most triples a norm, adding under 2 bits to the bound, so every
+    segment after the first runs at least one letter.
+
+    The rows are read back out of every column's bytes at the end.
+    Returns an h x h grid of LaurentPolynomial in t as a tuple of tuples.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
     size = w.strands - 1
     letters = w.letters
     norms = [1] * size
-    stop = 0
-    for letter in letters:
-        j = abs(letter) - 1
-        norm = norms[j] + (norms[j - 1] if j else 0) + (norms[j + 1] if j + 1 < size else 0)
-        if norm.bit_length() > _PACKED_MAX_BITS:
-            break
-        norms[j] = norm
-        stop += 1
-    width = (max(norms).bit_length() + 8) // 8
-    shift = 8 * width
     values = [1] * size
     lows = list(range(size))
-    for letter in letters[:stop]:
-        j = abs(letter) - 1
-        # s_i:    (col(i-2) - col(i-1)) t + col(i)
-        # s_i^-1: (col(i) - col(i-1)) t^-1 + col(i-2)
-        # A missing neighbour column is zero.
-        if letter > 0:
-            near, far, step = j - 1, j + 1, size
-        else:
-            near, far, step = j + 1, j - 1, -size
-        value, low = values[j], lows[j]
-        if 0 <= near < size:
-            value, low = _aligned(values[near], lows[near], value, low, sub, shift)
-            low += step
-            if 0 <= far < size:
-                value, low = _aligned(value, low, values[far], lows[far], add, shift)
-        elif 0 <= far < size:
-            value, low = _aligned(values[far], lows[far], value, low + step, sub, shift)
-        else:
-            value, low = -value, low + step
-        values[j], lows[j] = value, low
-    columns = [
-        _trimmed(LaurentPolynomial, low, _unbytes(value, width, value.bit_length() // shift + 1))
-        for value, low in zip(values, lows)
-    ]
-    _apply_letters(columns, letters[stop:], size)
+    cap, start = _PACKED_MAX_BITS, 0
+    while True:
+        stop = start
+        for letter in letters[start:]:
+            j = abs(letter) - 1
+            norm = norms[j] + (norms[j - 1] if j else 0) + (norms[j + 1] if j + 1 < size else 0)
+            if norm.bit_length() > cap:
+                break
+            norms[j] = norm
+            stop += 1
+        width = (max(norms).bit_length() + 8) // 8
+        shift = 8 * width
+        if start:
+            half = 1 << (shift - 1)
+            values = [_pack(coeffs, width, half) for coeffs in columns]
+            # glibc maps each block past its mmap threshold afresh, faulting
+            # its pages in, and raises the threshold only to the largest
+            # block freed (mallopt(3)); columns that outgrow every earlier
+            # block at each letter would be mapped anew at each letter, in
+            # 1.5x the time on family^1000.  A segment at most doubles the
+            # bound's bits and, on the family, a column's length, so freeing
+            # one block of 8 bytes per byte of the widest column lifts the
+            # threshold past the segment.  calloc maps it without touching it.
+            bytes(max(map(int.bit_length, values)))
+        for letter in letters[start:stop]:
+            j = abs(letter) - 1
+            # s_i:    (col(i-2) - col(i-1)) t + col(i)
+            # s_i^-1: (col(i) - col(i-1)) t^-1 + col(i-2)
+            # A missing neighbour column is zero.
+            if letter > 0:
+                near, far, step = j - 1, j + 1, size
+            else:
+                near, far, step = j + 1, j - 1, -size
+            value, low = values[j], lows[j]
+            if 0 <= near < size:
+                value, low = _aligned(values[near], lows[near], value, low, sub, shift)
+                low += step
+                if 0 <= far < size:
+                    value, low = _aligned(value, low, values[far], lows[far], add, shift)
+            elif 0 <= far < size:
+                value, low = _aligned(values[far], lows[far], value, low + step, sub, shift)
+            else:
+                value, low = -value, low + step
+            values[j], lows[j] = value, low
+        columns = [_unbytes(value, width, value.bit_length() // shift + 1) for value in values]
+        if stop == len(letters):
+            break
+        start, cap = stop, 2 * cap
     zero = _laurent(LaurentPolynomial, 0, [])
     grid = [[zero] * size for _ in range(size)]
-    for j, column in enumerate(columns):
-        low, coeffs = column._low, column._coeffs
+    for j, (coeffs, low) in enumerate(zip(columns, lows)):
         for r in range(size):
             # Row r's first term, at u^(low + first) = u^(r + size * e).
             first = (r - low) % size
@@ -767,10 +761,10 @@ def _det_minus_identity(w: BraidWord, m) -> LaurentPolynomial:
         exponent_sum = 2 * sum(letter > 0 for letter in letters) - len(letters)
         det_m = _laurent(LaurentPolynomial, exponent_sum, [-1 if len(letters) % 2 else 1])
         return det_m - (m[0][0] + m[1][1]) + 1
+    if w.strands == 2:
+        return m[0][0] - 1
     rows = [[entry - 1 if i == j else entry for j, entry in enumerate(row)]
             for i, row in enumerate(m)]
-    if w.strands == 2:
-        return determinant_fraction_free(rows)
     return _plain(determinant_fraction_free([list(map(_in_slots, row)) for row in rows]))
 
 

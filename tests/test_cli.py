@@ -332,6 +332,8 @@ GOLDEN_STDOUT = {
         "ec9f639171108bfe7273d44453505e0198de02e28d1f2685b9687b0b1cbd91ba",
     ("invariants", "--braid", "1 -2", "--power", "200"):
         "e26762d078e6506250756bcef5574e70e28ee628abaaece94bccbdc524372781",
+    ("invariants", "--braid", "1 -2", "--power", "1000"):
+        "e16398732d3cd0b3717fa4f39c2acd6fabd72045b7456a2764f0e003ca1b6f35",
     ("corollary",):
         "a25174df51e0fd6ab01fb3316eb942e6c27d9a6af93a5cb06fd389f07c44eb5a",
     ("corollary", "--max", "300", "--format", "csv"):

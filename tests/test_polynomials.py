@@ -826,6 +826,16 @@ def test_packed_burau_at_byte_boundaries_of_the_slot_width():
     for n in rows[7][:2] + rows[0][:2] + rows[7][-1:] + rows[0][-1:]:
         w = power(FAMILY, n)
         assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), n
+    # A re-packed segment sizes its slots the same way: with a first cap of
+    # 12 bits the second segment ends at a bound of 13 to 24 bits.
+    later = {7: [], 0: []}
+    for n in range(6, 50):
+        bits = max(l1_bounds(power(FAMILY, n))).bit_length()
+        if 12 < bits <= 24 and bits % 8 in later:
+            later[bits % 8].append((n, bits))
+    assert all(later.values()), later
+    for n, bits in later[7] + later[0]:
+        assert repacked_widths(power(FAMILY, n), 12) == [bits // 8 + 1] * 2, n
 
 
 def test_packed_burau_on_long_random_words():
@@ -839,24 +849,59 @@ def test_packed_burau_on_long_random_words():
             assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), w
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.one_of(braid_words(), wide_braid_words()), st.integers(1, 12))
-def test_reduced_burau_hands_over_to_laurent_columns_mid_word(w, cap):
-    # The packed columns are decoded before the first letter whose bound
-    # passes the cap, and the rest of the word runs on Laurent columns.
-    tails = []
-    apply_letters = polynomials._apply_letters
+def repacked_widths(w: BraidWord, cap: int):
+    # reduced_burau's result with a first cap of `cap` bits, checked against
+    # the product of generator matrices, and the slot width of every column
+    # it re-packs, in order.
+    widths = []
+    pack = polynomials._pack
 
-    def spy(columns, letters, size):
-        tails.append(letters)
-        apply_letters(columns, letters, size)
+    def spy(coeffs, width, half):
+        widths.append(width)
+        return pack(coeffs, width, half)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polynomials, "_PACKED_MAX_BITS", cap)
-        patch.setattr(polynomials, "_apply_letters", spy)
-        assert reduced_burau(w) == tuple(map(tuple, generator_product(w)))
-    past = [i for i, bound in enumerate(l1_bounds(w)) if bound.bit_length() > cap]
-    assert tails == [w.letters[past[0] if past else len(w.letters) :]]
+        patch.setattr(polynomials, "_pack", spy)
+        assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), (w, cap)
+    return widths
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(braid_words(), wide_braid_words()), st.integers(1, 12))
+@example(BraidWord((1, -2) * 20, 3), 1)  # an empty first segment, then four re-packs
+@example(BraidWord((8, -8) * 20, 9), 3)
+def test_reduced_burau_repacks_its_columns_at_doubled_caps(w, cap):
+    # A segment runs letters while the bound stays within the cap; the letter
+    # that would pass it starts the next segment, at double the cap, whose
+    # columns are re-packed at W = 8 ceil((b + 1) / 8) for the bound of b
+    # bits at that segment's end.  A first segment with no letters leaves
+    # identity columns, which need no re-pack.
+    bounds = [1, *l1_bounds(w)]
+    expected = []
+    stop, segment_cap = 0, cap
+    while True:
+        start = stop
+        while stop < len(w.letters) and bounds[stop + 1].bit_length() <= segment_cap:
+            stop += 1
+        if start:
+            expected += [(bounds[stop].bit_length() + 8) // 8] * (w.strands - 1)
+        if stop == len(w.letters):
+            break
+        segment_cap *= 2
+    assert repacked_widths(w, cap) == expected
+
+
+def test_reduced_burau_repacks_on_edge_words():
+    # No letters: nothing to re-pack.
+    assert repacked_widths(BraidWord((), 3), 1) == []
+    # The first letter passes a 1-bit cap, so the first segment is empty and
+    # the whole word runs at the doubled cap of 2 bits.
+    assert repacked_widths(FAMILY, 1) == []
+    # family^20 reaches 28 bits: segments within 8, 16 and 32 bits, the last
+    # two each re-packing both columns.
+    assert max(l1_bounds(power(FAMILY, 20))).bit_length() == 28
+    assert repacked_widths(power(FAMILY, 20), 8) == [3, 3, 4, 4]
 
 
 def test_reduced_burau_respects_braid_relations():
