@@ -17,11 +17,14 @@ routes use exact integer arithmetic throughout.
 
 A Laurent polynomial is dense: its lowest exponent and a list of integer
 coefficients.  Sums, shifts and evaluation are single passes over those
-lists.  A product of short operands is the double loop; past
-KRONECKER_MIN_TERMS terms each operand is packed into one integer, the two
-are multiplied once, and the coefficients are read back from the bytes of
+lists.  A product packs each operand into one integer, its value at
+u = 2^W for slots of W/8 bytes wide enough for every product coefficient,
+multiplies the two once, and reads the coefficients back from the bytes of
 the result (Kronecker substitution; Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", 2009).
+multiplication via multipoint Kronecker substitution", 2009).  One codec
+packs every such value in this module and reads it back: slots of 1, 2, 4
+or 8 bytes go through one `array` conversion, wider slots through one bytes
+slice per coefficient.
 
 The Burau product runs over the integers the same way, one integer per
 stacked column, with W set by an l1 bound on the columns.  The letters run
@@ -30,9 +33,7 @@ the next segment doubles the cap, and the columns are decoded once and
 packed again at the W that segment needs.
 
 Word slots hold a polynomial whose coefficients stay below 2^63 in size as
-its value at u = 2^64, one signed 64-bit digit per coefficient, packed by
-one `array` conversion and one `int.from_bytes` and read back by one
-`int.to_bytes`, with no Python step per coefficient.  The Bareiss
+its value at u = 2^64, one signed 64-bit digit per coefficient.  The Bareiss
 determinant of a knot on 4 or more strands runs on a private ring of such
 values, `_WordSlots`: each entry of B - I is packed once, and every product,
 difference and exact quotient of the elimination is one integer operation
@@ -77,12 +78,6 @@ __all__ = [
     "determinant",
     "reduced_burau",
 ]
-
-# Products whose shorter operand has at least this many terms go through
-# Kronecker substitution.  Measured crossover with the double loop on a
-# 2-core x86-64 machine, CPython 3.11: about 16 terms at 12-bit
-# coefficients, 16-24 at 200 bits, 20-32 at 1,400 bits.
-KRONECKER_MIN_TERMS = 20
 
 # reduced_burau's first segment of letters keeps the columns' l1 bound
 # within this many bits, and each later segment doubles the cap and re-packs
@@ -144,78 +139,52 @@ def _combine(a: "LaurentPolynomial", b: "LaurentPolynomial", op) -> "LaurentPoly
     return _trimmed(a.__class__, low, out)
 
 
-def _pack(coeffs: list, width: int, half: int) -> int:
-    # sum(c_i * 2^(8*width*i)): each slot holds c_i + half, and the biases
-    # are taken off again in one subtraction.
-    biased = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    bias = half.to_bytes(width, "little") * len(coeffs)
-    return int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
-
-
-# `array` items are in the machine's byte order, word slots little-endian.
+# `array` items are in the machine's byte order, slots little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _word_bias(n: int) -> int:
-    # 2^63 in each of n 64-bit slots.
-    return int.from_bytes((1 << 63).to_bytes(8, "little") * n, "little")
-
-
-def _words(coeffs: list) -> int:
-    # sum(c_i * 2^(64 i)) for coefficients below 2^63 in size.  Flipping the
-    # top bit of each two's-complement slot adds the bias 2^63 to it, which
-    # the subtraction takes off again.
-    slots = array("q", coeffs)
-    if _BIG_ENDIAN:
-        slots.byteswap()
-    bias = _word_bias(len(coeffs))
-    return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
-
-
-def _unwords(value: int, n: int):
-    # The n signed 64-bit digits of `value`, each in [-2^63, 2^63), lowest
-    # first; None when `value` has no such digits.
-    bias = _word_bias(n)
-    value += bias
-    if value < 0 or value.bit_length() > 64 * n:
-        return None
-    slots = array("q", (value ^ bias).to_bytes(8 * n, "little"))
-    if _BIG_ENDIAN:
-        slots.byteswap()
-    return slots.tolist()
-
-
-def _product(a: list, b: list) -> list:
-    # Coefficient list of the product of two nonzero coefficient lists.
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) < KRONECKER_MIN_TERMS:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return out
-    # A product coefficient is a sum of at most len(a) products, so its
-    # absolute value is at most `bound`, and a slot of `width` bytes holds
-    # that with a sign bit to spare.
-    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
-    width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    return _unbytes(_pack(a, width, half) * _pack(b, width, half), width, len(a) + len(b) - 1)
+def _pack(coeffs: list, width: int) -> int:
+    # sum(c_i * 2^(8 width i)) for coefficients in [-half, half), half being
+    # 2^(8 width - 1).  The slots are the two's-complement bytes of the c_i,
+    # from one `array` conversion at 1, 2, 4 or 8 bytes; flipping each top
+    # bit adds half to each slot, which one subtraction takes off again.
+    if width in (1, 2, 4, 8):
+        slots = array("bhiq"[width.bit_length() - 1], coeffs)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        data = slots.tobytes()
+    else:
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
+    bias = int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * len(coeffs), "little")
+    return (int.from_bytes(data, "little") ^ bias) - bias
 
 
 def _unbytes(value: int, width: int, size: int) -> list:
-    # The `size` signed digits of `value` in slots of `width` bytes, lowest
-    # first, each below half a slot in size: adding `half` to every digit
-    # makes every slot nonnegative, so slices of the bytes are digit + half.
-    half = 1 << (8 * width - 1)
-    value += int.from_bytes(half.to_bytes(width, "little") * size, "little")
-    data = value.to_bytes(size * width, "little")
+    # The `size` signed digits of `value` in slots of `width` bytes, each in
+    # [-half, half), lowest first; OverflowError when `value` has no such
+    # digits.  Adding half to every digit makes every slot nonnegative, and
+    # flipping each top bit again leaves the digits' two's-complement bytes.
+    bias = int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * size, "little")
+    data = ((value + bias) ^ bias).to_bytes(size * width, "little")
+    if width in (1, 2, 4, 8):
+        slots = array("bhiq"[width.bit_length() - 1], data)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots.tolist()
     return [
-        int.from_bytes(data[i : i + width], "little") - half
+        int.from_bytes(data[i : i + width], "little", signed=True)
         for i in range(0, size * width, width)
     ]
+
+
+def _product(a: list, b: list) -> list:
+    # Coefficient list of the product of two nonzero coefficient lists.  A
+    # product coefficient is a sum of at most min(len) products, so its
+    # absolute value is at most `bound`, and a slot of `width` bytes holds
+    # that, and every operand coefficient, with a sign bit to spare.
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    return _unbytes(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 class LaurentPolynomial:
@@ -224,9 +193,8 @@ class LaurentPolynomial:
     Stored densely: the lowest exponent and the list of coefficients from
     there to the highest exponent, with no zero at either end (an empty list
     for 0).  Memory and time therefore grow with the exponent range, not the
-    number of nonzero terms.  Products past KRONECKER_MIN_TERMS terms use
-    byte slots.  Exponents and coefficients must be integers: anything else
-    raises TypeError.
+    number of nonzero terms.  Every product runs on byte slots.  Exponents
+    and coefficients must be integers: anything else raises TypeError.
     """
 
     __slots__ = ("_low", "_coeffs")
@@ -546,8 +514,7 @@ def reduced_burau(w: BraidWord):
         width = (max(norms).bit_length() + 8) // 8
         shift = 8 * width
         if start:
-            half = 1 << (shift - 1)
-            values = [_pack(coeffs, width, half) for coeffs in columns]
+            values = [_pack(coeffs, width) for coeffs in columns]
             # glibc maps each block past its mmap threshold afresh, faulting
             # its pages in, and raises the threshold only to the largest
             # block freed (mallopt(3)); columns that outgrow every earlier
@@ -637,7 +604,7 @@ class _WordSlots:
 
     def polynomial(self) -> LaurentPolynomial:
         if self._poly is None:
-            self._poly = _trimmed(LaurentPolynomial, self.low, _unwords(self.value, self.slots))
+            self._poly = _trimmed(LaurentPolynomial, self.low, _unbytes(self.value, 8, self.slots))
         return self._poly
 
     def norm(self) -> int:
@@ -691,8 +658,12 @@ class _WordSlots:
             if not self.value:
                 return self
             quotient, rest = divmod(self.value, d.value)
-            digits = None if rest else _unwords(quotient, self.slots - d.slots + 1)
-            if digits is not None:
+            try:
+                # D may count top slots that cancelled, and so more than N.
+                digits = [] if rest else _unbytes(quotient, 8, max(self.slots - d.slots + 1, 0))
+            except OverflowError:
+                digits = []
+            if digits:
                 top = max(max(digits), -min(digits))
                 # R = N - Q D then has every coefficient below 2^63 in size
                 # and R(2^64) = 0, which forces R = 0.
@@ -714,7 +685,7 @@ class _WordSlots:
 
 
 def _difference(a: _WordSlots, b: _WordSlots):
-    # a - b with b's slots moved to a's exponents, or the other way round.
+    # a - b, the operand with the higher lowest exponent moved to the other's.
     if not b.value:
         return a
     if not a.value:
@@ -722,14 +693,8 @@ def _difference(a: _WordSlots, b: _WordSlots):
     top = a.top + b.top
     if top >= _SLOT_LIMIT:
         return a.polynomial() - b.polynomial()
-    shift = b.low - a.low
-    if shift >= 0:
-        return _WordSlots(
-            a.low, a.value - (b.value << 64 * shift), max(a.slots, b.slots + shift), top
-        )
-    return _WordSlots(
-        b.low, (a.value << -64 * shift) - b.value, max(a.slots - shift, b.slots), top
-    )
+    value, low = _aligned(a.value, a.low, b.value, b.low, sub, 64)
+    return _WordSlots(low, value, max(a.low + a.slots, b.low + b.slots) - low, top)
 
 
 def _in_slots(p: LaurentPolynomial):
@@ -740,7 +705,7 @@ def _in_slots(p: LaurentPolynomial):
     top = max(max(coeffs), -min(coeffs))
     if top >= _SLOT_LIMIT:
         return p
-    return _WordSlots(p._low, _words(coeffs), len(coeffs), top)
+    return _WordSlots(p._low, _pack(coeffs, 8), len(coeffs), top)
 
 
 def _plain(x):

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -315,6 +316,14 @@ def test_each_row_builds_one_diagram_and_one_alexander_polynomial(monkeypatch):
     assert diagrams == alexanders == [w]
 
 
+# Words on 8, 12 and 16 strands, keyed by the strand count.
+DATA = pathlib.Path(__file__).parent / "data"
+WIDE_KNOTS = dict(
+    line.split(": ")
+    for line in (DATA / "wide_knots.txt").read_text().splitlines()
+    if not line.startswith("#")
+)
+
 # sha256 of stdout for invocations whose output must not change by one byte;
 # each exits 0 with nothing on stderr.
 GOLDEN_STDOUT = {
@@ -334,6 +343,12 @@ GOLDEN_STDOUT = {
         "e26762d078e6506250756bcef5574e70e28ee628abaaece94bccbdc524372781",
     ("invariants", "--braid", "1 -2", "--power", "1000"):
         "e16398732d3cd0b3717fa4f39c2acd6fabd72045b7456a2764f0e003ca1b6f35",
+    ("invariants", "--strands", "8", "--braid", WIDE_KNOTS["8"]):
+        "a6e10452cb4fe580464a6b46d807caaf74a9820c24fc8b30ce58463df8fd57c6",
+    ("invariants", "--strands", "12", "--braid", WIDE_KNOTS["12"]):
+        "92cc49554174354ad6f256e4ca81b73611bdefa357477140df2f1701cc8c0d92",
+    ("invariants", "--strands", "16", "--braid", WIDE_KNOTS["16"]):
+        "bdf475fa0981f30df8f3c8d901e087241b3f179a40191ab295e782a169694d22",
     ("corollary",):
         "a25174df51e0fd6ab01fb3316eb942e6c27d9a6af93a5cb06fd389f07c44eb5a",
     ("corollary", "--max", "300", "--format", "csv"):
@@ -341,7 +356,12 @@ GOLDEN_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def golden_id(argv):
+    # A wide knot's word stands in the test id as its letter count.
+    return " ".join(arg if len(arg) < 40 else f"<{len(arg.split())} letters>" for arg in argv)
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=golden_id)
 def test_cli_stdout_matches_the_golden_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")

@@ -233,13 +233,10 @@ def dict_product(p, q):
 
 @st.composite
 def laurent_operands(draw):
-    # Up to three times the Kronecker threshold, so both products occur;
-    # length 0 is the zero polynomial.
+    # Up to 60 terms, so products of 1-term operands and of long ones both
+    # occur; length 0 is the zero polynomial.
     bits = draw(st.sampled_from((1, 12, 64, 200, 1400, 2000)))
-    coeffs = draw(
-        st.lists(st.integers(-(2**bits), 2**bits),
-                 max_size=3 * polynomials.KRONECKER_MIN_TERMS)
-    )
+    coeffs = draw(st.lists(st.integers(-(2**bits), 2**bits), max_size=60))
     low = draw(st.integers(-50, 50))
     return LaurentPolynomial({low + i: c for i, c in enumerate(coeffs)})
 
@@ -254,9 +251,9 @@ def test_product_at_the_slot_bound():
     # Every coefficient -2^b: the middle product coefficient is exactly
     # min(len) * 4^b, the bound the slot width is computed from.  With a
     # power-of-two min(len), some b puts the bound's top bit on a byte
-    # boundary, where a slot one bit narrower overflows.
-    threshold = polynomials.KRONECKER_MIN_TERMS
-    shapes = [(5, 7), (32, 45), (128, 128), (threshold, 3 * threshold)]
+    # boundary, where a slot one bit narrower overflows.  1-term operands
+    # pack too, at a slot as wide as the one product coefficient needs.
+    shapes = [(1, 1), (1, 9), (9, 1), (5, 7), (32, 45), (128, 128), (20, 60)]
     for b in list(range(0, 9)) + [61, 62, 63, 64, 1997, 1998, 1999, 2000]:
         for n, m in shapes:
             p = LaurentPolynomial({i - n: -(2**b) for i in range(n)})
@@ -369,6 +366,44 @@ def test_word_slot_quotient_needs_the_divisor_norm():
     assert n.evaluate(2**64) == -4 * d.evaluate(2**64)
     with pytest.raises(ValueError, match="^not exactly divisible"):
         in_slots(n) // in_slots(d)
+
+
+def test_word_slot_quotient_without_signed_64_bit_digits_falls_back():
+    # N = 1 + (2^62 + 1) t and D = (1 - 2^63) + t: N(2^64) = (2^63 + 1)
+    # D(2^64) with no remainder, but 2^63 + 1 is no signed 64-bit digit, so
+    # long division takes over and finds that D does not divide N.
+    n = LaurentPolynomial({0: 1, 1: 2**62 + 1})
+    d = LaurentPolynomial({0: 1 - 2**63, 1: 1})
+    assert n.evaluate(2**64) == (2**63 + 1) * d.evaluate(2**64)
+    with pytest.raises(ValueError, match="^not exactly divisible$"):
+        in_slots(n) // in_slots(d)
+    # A difference whose top slots cancel still counts them: a 1-slot N over
+    # a 3-slot D holding 1 reads back no digits and falls back.
+    one = in_slots(ONE + T + T * T) - in_slots(T + T * T)
+    assert one.slots == 3
+    assert in_slots(2 * ONE) // one == 2 * ONE
+
+
+@pytest.mark.parametrize("width", [*range(1, 10), 37])
+def test_codec_round_trip_at_the_ends_of_each_slot(width):
+    # Widths 1, 2, 4 and 8 take the `array` conversion, the others one bytes
+    # slice per slot; the digits span [-half, half) at every width.
+    half = 2 ** (8 * width - 1)
+    digits = [-half, half - 1, 0, 0, -half, 7, half - 1, -half]
+    value = polynomials._pack(digits, width)
+    assert value == sum(c << 8 * width * i for i, c in enumerate(digits))
+    assert polynomials._unbytes(value, width, len(digits)) == digits
+    for size in (1, 3):
+        lowest = -half * sum(1 << 8 * width * i for i in range(size))
+        highest = (half - 1) * sum(1 << 8 * width * i for i in range(size))
+        assert polynomials._unbytes(lowest, width, size) == [-half] * size
+        assert polynomials._unbytes(highest, width, size) == [half - 1] * size
+        for past in (lowest - 1, highest + 1):
+            with pytest.raises(OverflowError):
+                polynomials._unbytes(past, width, size)
+    for past in (-half - 1, half):
+        with pytest.raises(OverflowError):
+            polynomials._pack([0, past], width)
 
 
 def cofactor_det(rows):
@@ -853,17 +888,19 @@ def repacked_widths(w: BraidWord, cap: int):
     # reduced_burau's result with a first cap of `cap` bits, checked against
     # the product of generator matrices, and the slot width of every column
     # it re-packs, in order.
+    # The oracle's own products pack too, so it runs outside the spy.
     widths = []
     pack = polynomials._pack
+    expected = tuple(map(tuple, generator_product(w)))
 
-    def spy(coeffs, width, half):
+    def spy(coeffs, width):
         widths.append(width)
-        return pack(coeffs, width, half)
+        return pack(coeffs, width)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polynomials, "_PACKED_MAX_BITS", cap)
         patch.setattr(polynomials, "_pack", spy)
-        assert reduced_burau(w) == tuple(map(tuple, generator_product(w))), (w, cap)
+        assert reduced_burau(w) == expected, (w, cap)
     return widths
 
 
