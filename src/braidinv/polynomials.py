@@ -8,12 +8,13 @@ t^(k-1), and normalizes by a unit to the palindromic representative with
 value 1 at t = 1.  On 3 strands det(M - I) is det M - tr M + 1 in closed
 form, det M being the signed monomial (-1)^L t^e of a word of L letters and
 exponent sum e; any other strand count takes it by fraction-free
-elimination.  A Clenshaw sum in z^2 = t - 2 + 1/t turns the Alexander
-polynomial into the Conway polynomial.  The secondary route multiplies the
-word out in the Hecke algebra, where the Conway skein relation reads
-g - 1/g = z, and takes the Conway trace of the product over the integers at
-z = 2^W, decoded once; it never sees a matrix or a Gauss diagram.  Both
-routes use exact integer arithmetic throughout.
+elimination.  Repeated suffix sums of the Alexander coefficients, additions
+alone, substitute z^2 = t - 2 + 1/t to give the Conway polynomial, and
+differences run them backwards.  The secondary route multiplies the word
+out in the Hecke algebra, where the Conway skein relation reads g - 1/g =
+z, and takes the Conway trace of the product over the integers at z = 2^W,
+decoded once; it never sees a matrix or a Gauss diagram.  Both routes use
+exact integer arithmetic throughout.
 
 A Laurent polynomial is dense: its lowest exponent and a list of integer
 coefficients.  Sums, shifts and evaluation are single passes over those
@@ -436,12 +437,18 @@ class ConwayPolynomial(LaurentPolynomial):
         coeffs = self.coefficients
         if any(coeffs[1::2]):
             raise ValueError("odd powers of z have no Laurent image under z^2 = t - 2 + 1/t")
-        # Horner in z^2: one multiply by t - 2 + 1/t per even power.
-        base = LaurentPolynomial({1: 1, 0: -2, -1: 1})
-        total = LaurentPolynomial()
+        # conway_from_alexander's suffix sums run backwards with differences,
+        # (S^-1 x)_j = x_j - x_(j+1), on a list x highest index first.  Going
+        # down from i = d, x holds S^(2i+2) a on indices >= i + 1; one
+        # difference makes it S^(2i+1) a, T_i = c_i - T_(i+1) extends it to
+        # index i, and one more difference leaves S^(2i) a on indices >= i.
+        # At i = 0 that is a, and Delta = a_0 + sum_j a_j (t^j + t^-j).
+        x: list[int] = []
         for c in reversed(coeffs[::2]):
-            total = total * base + c
-        return total
+            x = list(map(sub, x, [0] + x))
+            x.append(c - sum(x[-1:]))
+            x = list(map(sub, x, [0] + x))
+        return _trimmed(LaurentPolynomial, 1 - len(x), x + x[-2::-1])
 
     def __str__(self):
         return _format_terms(self.terms(), "z")
@@ -773,27 +780,26 @@ def conway_from_alexander(alexander: LaurentPolynomial) -> ConwayPolynomial:
     """Conway polynomial obtained by substituting z^2 = t - 2 + 1/t out of `alexander`.
 
     The input must be palindromic with value 1 at t=1, as produced by
-    alexander_of_closure; only even powers of z appear in the result.
+    alexander_of_closure; only even powers of z appear in the result.  For
+    degree d it takes repeated suffix sums of the coefficients: about d^2
+    integer additions and no multiplication.
     """
     if not alexander.is_palindromic():
         raise ValueError("input must be palindromic in t and 1/t")
     if alexander.evaluate(1) != 1:
         raise ValueError("input must take value 1 at t=1")
-    # Delta = a_0 + sum_j a_j V_j with V_j = t^j + t^-j, and V_(j+1) =
-    # (y + 2) V_j - V_(j-1) in y = z^2, V_0 = 2, V_1 = y + 2.  Clenshaw:
-    # b_j = a_j + (y + 2) b_(j+1) - b_(j+2) down to j = 1, then
-    # Delta = a_0 + (y + 2) b_1 - 2 b_2.  Each b is a coefficient list in y.
-    a = alexander._coeffs[len(alexander._coeffs) // 2 :]
-    b1: list[int] = []
-    b2: list[int] = []
-    for aj in reversed(a[1:]):
-        b = [x + 2 * u - v for x, u, v in zip([0] + b1, b1 + [0], b2 + [0, 0])]
-        b[0] += aj
-        b1, b2 = b, b1
-    y = [x + 2 * u - 2 * v for x, u, v in zip([0] + b1, b1 + [0], b2 + [0, 0])]
-    y[0] += a[0]
-    coeffs = [0] * (2 * len(y) - 1)
-    coeffs[::2] = y
+    # Delta = a_0 + sum_j a_j (t^j + t^-j), whose z^(2i) coefficient is c_i =
+    # sum_j a_j (C(j+i, 2i) + C(j+i-1, 2i)).  With S the suffix sum, (S x)_j =
+    # sum_(k >= j) x_k, that is T_i + T_(i+1) for T = S^(2i+1) a.  S on
+    # indices >= i reads only indices >= i, so one list x, highest index
+    # first, serves every i: read c_i off its two lowest indices, drop the
+    # lowest, and take two more suffix sums, each one running sum in C.
+    x = list(accumulate(reversed(alexander._coeffs[len(alexander._coeffs) // 2 :])))
+    coeffs = []
+    while x:
+        coeffs += (sum(x[-2:]), 0)
+        x.pop()
+        x = list(accumulate(accumulate(x)))
     return _trimmed(ConwayPolynomial, 0, coeffs)
 
 

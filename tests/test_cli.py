@@ -343,6 +343,8 @@ GOLDEN_STDOUT = {
         "e26762d078e6506250756bcef5574e70e28ee628abaaece94bccbdc524372781",
     ("invariants", "--braid", "1 -2", "--power", "1000"):
         "e16398732d3cd0b3717fa4f39c2acd6fabd72045b7456a2764f0e003ca1b6f35",
+    ("invariants", "--strands", "2", "--braid", "1", "--power", "1999"):
+        "bb2a509451905c2028399725bd51ac631d4f1a4e69f68bb9b7c69b2eb45c5adc",
     ("invariants", "--strands", "8", "--braid", WIDE_KNOTS["8"]):
         "a6e10452cb4fe580464a6b46d807caaf74a9820c24fc8b30ce58463df8fd57c6",
     ("invariants", "--strands", "12", "--braid", WIDE_KNOTS["12"]):
